@@ -14,6 +14,12 @@ orthogonal complement of its kernel.  The combined bound splices a
 Koopman prefix of length l with a Frobenius-product peeling tail
 2^(L-l) * prod ||W_j||_F.  Table-style competitor bounds are implemented
 verbatim for comparison.
+
+Each of these factors depends on W only through its singular values, so
+a layer's spectrum is computed once (`LayerSpectrum`) and every factor is
+a function of it; a variant's total is the log prefactor plus the sum of
+its per-layer log factors.  The activation constant ||K_sigma|| comes from
+the closed-form extremes of the activation's derivative.
 """
 
 from __future__ import annotations
@@ -22,20 +28,20 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import matcore
 from .kernels import gaussian_head_norm, kernel_trace_bound
-from .matcore import (
+from .matcore import (  # gram_logdet, operator_norm, restricted_det: re-exported
     InvalidParameterError,
     RankDeficientError,
+    ShapeError,
     gram_logdet,
     operator_norm,
     pq_norm,
     restricted_det,
-    singular_values,
 )
 from .network import (
     CustomActivation,
@@ -90,14 +96,89 @@ class BoundConstants:
 
 
 # ---------------------------------------------------------------------------
-# per-layer ingredients
+# one spectrum per layer
 
 
-def density_ratio_bound(w, s_prev: float) -> float:
+@dataclass(frozen=True)
+class LayerSpectrum:
+    """A weight matrix's singular values and the bound quantities derived from them.
+
+    Built by `LayerSpectrum.of` from one SVD.  The rank cutoff `tol` is
+    matcore's relative tolerance; `restricted_*` use the weighted bound's
+    absolute tolerance, as matcore.restricted_det does.
+    """
+
+    rows: int
+    cols: int
+    sigma: np.ndarray  # min(rows, cols) singular values, descending, read-only
+    tol: float
+    rank: int  # singular values above tol
+    gram_logdet: float | None  # log det(W^T W); None when wide or rank deficient
+    lifted_logdet: float  # log det(I + W^T W)
+    restricted_logdet: float  # log of the product of singular values above weighted_tol
+    restricted_rank: int
+    op_norm: float
+    fro_norm: float
+
+    @classmethod
+    def of(cls, w, weighted_tol: float = 1e-8) -> "LayerSpectrum":
+        if weighted_tol <= 0:
+            raise InvalidParameterError(
+                f"weighted bound needs tol > 0, got {weighted_tol}"
+            )
+        a = matcore.as_matrix(w)
+        rows, cols = a.shape
+        s = matcore.singular_values(a)
+        s.setflags(write=False)
+        tol = matcore.rank_tolerance(float(s[0]), rows, cols)
+        rank = int(np.sum(s > tol))
+        kept = s[s > weighted_tol]
+        return cls(
+            rows=rows,
+            cols=cols,
+            sigma=s,
+            tol=tol,
+            rank=rank,
+            gram_logdet=float(2.0 * np.sum(np.log(s))) if rank == cols else None,
+            lifted_logdet=float(np.sum(np.log1p(s ** 2))),
+            restricted_logdet=float(np.sum(np.log(kept))),
+            restricted_rank=int(kept.size),
+            op_norm=float(s[0]),
+            fro_norm=pq_norm(a, 2, 2),
+        )
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.sigma[-1])
+
+    @property
+    def condition_number(self) -> float:
+        """sigma_1 / sigma_min, +inf for a singular matrix (as matcore.condition_number)."""
+        if self.sigma_min == 0.0:
+            return math.inf
+        return self.op_norm / self.sigma_min
+
+
+def _spectrum(layer) -> LayerSpectrum:
+    """The spectrum of a LayerSpectrum, a LayerSpec or a bare matrix."""
+    if isinstance(layer, LayerSpectrum):
+        return layer
+    return LayerSpectrum.of(layer.weight if isinstance(layer, LayerSpec) else layer)
+
+
+def _spectra(net: NetworkSpec, weighted_tol: float = 1e-8) -> list[LayerSpectrum]:
+    return [LayerSpectrum.of(layer.weight, weighted_tol) for layer in net.layers]
+
+
+# ---------------------------------------------------------------------------
+# per-layer ingredients; `layer` is a LayerSpectrum, a LayerSpec or a weight matrix
+
+
+def density_ratio_bound(layer, s_prev: float) -> float:
     """Closed-form bound on sup p(omega) / p(W^T omega): max{1, ||W||^(2s)}."""
     if s_prev <= 0:
         raise InvalidParameterError(f"s_prev must be positive, got {s_prev}")
-    return max(1.0, operator_norm(w) ** (2.0 * s_prev))
+    return max(1.0, _spectrum(layer).op_norm ** (2.0 * s_prev))
 
 
 @dataclass(frozen=True)
@@ -165,10 +246,35 @@ def density_ratio_grid_sup(
     return best
 
 
-def koopman_layer_factor(w, s_prev: float) -> float:
-    """max{1, ||W||^s_prev} / det(W^T W)^(1/4); equals 1 for orthogonal W."""
-    logdet = gram_logdet(w)  # raises RankDeficientError / ShapeError
-    return math.sqrt(density_ratio_bound(w, s_prev)) / math.exp(logdet / 4.0)
+def koopman_layer_factor(layer, s_prev: float) -> float:
+    """max{1, ||W||^s_prev} / det(W^T W)^(1/4); equals 1 for orthogonal W.
+
+    Raises ShapeError for a wide layer and RankDeficientError for a
+    rank-deficient one, as matcore.gram_logdet does.
+    """
+    spec = _spectrum(layer)
+    if spec.gram_logdet is None:
+        if spec.cols > spec.rows:
+            raise ShapeError(
+                f"gram_logdet needs cols <= rows, got {spec.rows}x{spec.cols}"
+            )
+        raise RankDeficientError(
+            f"matrix is numerically rank deficient (sigma_min={spec.sigma_min:.3e}, "
+            f"tolerance={spec.tol:.3e})",
+            sigma_min=spec.sigma_min,
+        )
+    return math.sqrt(density_ratio_bound(spec, s_prev)) / math.exp(spec.gram_logdet / 4.0)
+
+
+def _graph_layer_factor(spec: LayerSpectrum, s_prev: float) -> float:
+    """(1 + ||W||^2)^(s/2) / det(W^T W + I)^(1/4)."""
+    lift = max(1.0, (1.0 + spec.op_norm ** 2) ** (s_prev / 2.0))
+    return lift / math.exp(spec.lifted_logdet / 4.0)
+
+
+def _weighted_layer_factor(spec: LayerSpectrum, s_prev: float) -> float:
+    """max{1, ||W||^s} / |det W_r|^(1/2)."""
+    return max(1.0, spec.op_norm ** s_prev) / math.exp(spec.restricted_logdet / 2.0)
 
 
 def g_factor_gaussian(w, c_gauss: float) -> float:
@@ -184,36 +290,28 @@ def g_factor_gaussian(w, c_gauss: float) -> float:
     return (2.0 * c_gauss / math.pi) ** (k / 4.0)
 
 
-def _slrelu_derivative_grid(alpha: float, mu: float, num: int = 400_001):
-    from scipy.special import erf
-
-    beta = mu * (1.0 - alpha)
-    x = np.linspace(-100.0, 100.0, num)
-    deriv = 0.5 * (
-        (1.0 + alpha)
-        + (1.0 - alpha)
-        * (erf(beta * x) + x * beta * (2.0 / math.sqrt(math.pi)) * np.exp(-((beta * x) ** 2)))
-    )
-    return deriv
+# sigma'(x) of the smooth leaky ReLU is extremal at x = +-1/(mu (1 - alpha)),
+# where it equals ((1 + alpha) +- (1 - alpha) * _SLRELU_SWING) / 2, whatever mu.
+_SLRELU_SWING = math.erf(1.0) + 2.0 / (math.e * math.sqrt(math.pi))
 
 
 def activation_opnorm_bound(activation, d: int) -> float:
     """Bound on the composition-operator norm of an elementwise activation.
 
     For s = 1 and elementwise sigma this is
-    (sup 1/sigma')^d * max{1, sup sigma'}; the derivative extremes are
-    estimated on a dense grid over [-100, 100] together with the exact
-    asymptotic slopes.  Custom activations carry their sups pre-aggregated.
+    (sup 1/sigma')^d * max{1, sup sigma'}.  For the smooth leaky ReLU the
+    extremes of sigma' are exact closed forms (see _SLRELU_SWING); they lie
+    beyond the asymptotic slopes alpha and 1.  Custom activations carry
+    their sups pre-aggregated.
     """
     if isinstance(activation, Identity):
         return 1.0
     if isinstance(activation, CustomActivation):
         return activation.inverse_jacobian_sup * max(1.0, activation.derivative_sup)
     if isinstance(activation, SmoothLeakyRelu):
-        deriv = _slrelu_derivative_grid(activation.alpha, activation.mu)
-        # asymptotic slopes: 1 as x -> +inf, alpha as x -> -inf
-        inf_deriv = min(float(np.min(deriv)), activation.alpha, 1.0)
-        sup_deriv = max(float(np.max(deriv)), activation.alpha, 1.0)
+        a = activation.alpha
+        inf_deriv = 0.5 * ((1.0 + a) - (1.0 - a) * _SLRELU_SWING)
+        sup_deriv = 0.5 * ((1.0 + a) + (1.0 - a) * _SLRELU_SWING)
         if inf_deriv <= 0:
             raise NotBiLipschitzError(
                 "activation derivative is not bounded away from zero; "
@@ -230,13 +328,11 @@ class VariantChoice:
     alternate: str | None = None
 
 
-def choose_variant(layer: LayerSpec, prev_dim: int) -> VariantChoice:
-    """Route a layer to the tightest applicable bound variant."""
-    w = layer.weight
-    rows, cols = w.shape
-    s = singular_values(w)
-    tol = matcore.rank_tolerance(float(s[0]) if s.size else 0.0, rows, cols)
-    full_col_rank = float(s[-1]) > tol
+def choose_variant(layer, prev_dim: int) -> VariantChoice:
+    """Route a layer (LayerSpec, LayerSpectrum or matrix) to the tightest applicable variant."""
+    spec = _spectrum(layer)
+    rows, cols = spec.rows, spec.cols
+    full_col_rank = spec.rank == cols
     if rows == cols and full_col_rank:
         return VariantChoice("invertible", "square with sigma_min above tolerance")
     if rows > cols and full_col_rank:
@@ -249,7 +345,7 @@ def choose_variant(layer: LayerSpec, prev_dim: int) -> VariantChoice:
         )
     return VariantChoice(
         "graph",
-        f"rank deficient (sigma_min={float(s[-1]):.3e} <= tolerance {tol:.3e})",
+        f"rank deficient (sigma_min={spec.sigma_min:.3e} <= tolerance {spec.tol:.3e})",
         alternate="weighted",
     )
 
@@ -265,64 +361,69 @@ def _check_constants(net: NetworkSpec, c: BoundConstants) -> None:
         )
 
 
+def _factor_table(
+    spectra: list[LayerSpectrum], net: NetworkSpec, c: BoundConstants
+) -> list[dict[str, float | None]]:
+    """Per layer, each per-layer Koopman variant's factor, constants included.
+
+    None marks a variant whose precondition the layer fails: the
+    determinant variants need full column rank, invertible also a square
+    matrix.
+    """
+    s_chain = net.smoothness_chain()
+    table = []
+    for spec, s, g, sig in zip(spectra, s_chain, c.g_factors, c.sigma_norms):
+        koop = None if spec.gram_logdet is None else koopman_layer_factor(spec, s) * sig
+        table.append({
+            "invertible": koop if spec.rows == spec.cols else None,
+            "injective": None if koop is None else koop * g,
+            "graph": _graph_layer_factor(spec, s) * g * sig,
+            "weighted": _weighted_layer_factor(spec, s) * g * sig,
+        })
+    return table
+
+
+def _total(c: BoundConstants, layer_factors) -> float:
+    """prefactor * prod(layer_factors), accumulated in log space."""
+    log_total = math.log(c.prefactor)
+    for f in layer_factors:
+        log_total += math.log(f)
+    return math.exp(log_total)
+
+
+def _variant_total(variant: str, spectra, table, c: BoundConstants) -> float:
+    for j, (spec, row) in enumerate(zip(spectra, table), start=1):
+        if row[variant] is not None:
+            continue
+        smin = f"(sigma_min={spec.sigma_min:.3e})"
+        if variant == "invertible":
+            if spec.rows != spec.cols:
+                raise VariantInapplicable(f"layer {j} is {spec.rows}x{spec.cols}, not square")
+            raise VariantInapplicable(f"layer {j} is numerically singular {smin}")
+        if spec.rows < spec.cols:
+            raise VariantInapplicable(
+                f"layer {j} is {spec.rows}x{spec.cols} (wide), not injective"
+            )
+        raise VariantInapplicable(f"layer {j} lacks full column rank {smin}")
+    return _total(c, [row[variant] for row in table])
+
+
+def _koopman_bound(
+    variant: str, net: NetworkSpec, c: BoundConstants, weighted_tol: float = 1e-8
+) -> float:
+    _check_constants(net, c)
+    spectra = _spectra(net, weighted_tol)
+    return _variant_total(variant, spectra, _factor_table(spectra, net, c), c)
+
+
 def bound_invertible(net: NetworkSpec, c: BoundConstants) -> float:
     """Theorem-style bound for square invertible layers."""
-    _check_constants(net, c)
-    s_chain = net.smoothness_chain()
-    log_total = math.log(c.prefactor)
-    for j, layer in enumerate(net.layers):
-        w = layer.weight
-        if w.shape[0] != w.shape[1]:
-            raise VariantInapplicable(
-                f"layer {j + 1} is {w.shape[0]}x{w.shape[1]}, not square"
-            )
-        try:
-            logdet = gram_logdet(w)
-        except RankDeficientError as exc:
-            raise VariantInapplicable(
-                f"layer {j + 1} is numerically singular "
-                f"(sigma_min={exc.sigma_min:.3e})"
-            ) from exc
-        log_total += (
-            0.5 * math.log(density_ratio_bound(w, s_chain[j]))
-            + math.log(c.sigma_norms[j])
-            - logdet / 4.0
-        )
-    return math.exp(log_total)
+    return _koopman_bound("invertible", net, c)
 
 
 def bound_injective(net: NetworkSpec, c: BoundConstants) -> float:
     """Bound for tall full-column-rank layers, with isotropy factors G_j."""
-    _check_constants(net, c)
-    s_chain = net.smoothness_chain()
-    log_total = math.log(c.prefactor)
-    for j, layer in enumerate(net.layers):
-        w = layer.weight
-        if w.shape[0] < w.shape[1]:
-            raise VariantInapplicable(
-                f"layer {j + 1} is {w.shape[0]}x{w.shape[1]} (wide), not injective"
-            )
-        try:
-            logdet = gram_logdet(w)
-        except RankDeficientError as exc:
-            raise VariantInapplicable(
-                f"layer {j + 1} lacks full column rank "
-                f"(sigma_min={exc.sigma_min:.3e})"
-            ) from exc
-        log_total += (
-            0.5 * math.log(density_ratio_bound(w, s_chain[j]))
-            + math.log(c.g_factors[j])
-            + math.log(c.sigma_norms[j])
-            - logdet / 4.0
-        )
-    return math.exp(log_total)
-
-
-def _graph_layer_factor(w, s_prev: float) -> float:
-    s = singular_values(w)
-    op2 = float(s[0]) ** 2
-    logdet_lifted = float(np.sum(np.log1p(s ** 2)))  # det(W^T W + I)
-    return max(1.0, (1.0 + op2) ** (s_prev / 2.0)) / math.exp(logdet_lifted / 4.0)
+    return _koopman_bound("injective", net, c)
 
 
 def bound_graph(net: NetworkSpec, c: BoundConstants) -> float:
@@ -332,51 +433,35 @@ def bound_graph(net: NetworkSpec, c: BoundConstants) -> float:
     caller's g_norm is used and the total is flagged "modulo psi-norm"
     in reports.
     """
-    _check_constants(net, c)
-    s_chain = net.smoothness_chain()
-    log_total = math.log(c.prefactor)
-    for j, layer in enumerate(net.layers):
-        log_total += (
-            math.log(_graph_layer_factor(layer.weight, s_chain[j]))
-            + math.log(c.g_factors[j])
-            + math.log(c.sigma_norms[j])
-        )
-    return math.exp(log_total)
+    return _koopman_bound("graph", net, c)
 
 
 def bound_weighted(
     net: NetworkSpec, c: BoundConstants, tol: float = 1e-8
 ) -> float:
     """Weighted-composition bound using determinants restricted to ker(W)^perp."""
-    _check_constants(net, c)
-    if tol <= 0:
-        raise InvalidParameterError(f"weighted bound needs tol > 0, got {tol}")
-    s_chain = net.smoothness_chain()
-    log_total = math.log(c.prefactor)
-    for j, layer in enumerate(net.layers):
-        rdet, _rank = restricted_det(layer.weight, tol)
-        log_total += (
-            math.log(max(1.0, operator_norm(layer.weight) ** s_chain[j]))
-            + math.log(c.g_factors[j])
-            + math.log(c.sigma_norms[j])
-            - 0.5 * math.log(rdet)
-        )
-    return math.exp(log_total)
+    return _koopman_bound("weighted", net, c, tol)
 
 
-def _feasible_prefix_length(net: NetworkSpec) -> int:
+def _feasible_prefix_length(spectra: list[LayerSpectrum]) -> int:
     """Longest l such that layers 1..l all satisfy the injective preconditions."""
-    l = 0
-    for layer in net.layers:
-        w = layer.weight
-        if w.shape[0] < w.shape[1]:
-            break
-        try:
-            gram_logdet(w)
-        except RankDeficientError:
-            break
-        l += 1
-    return l
+    return next(
+        (j for j, spec in enumerate(spectra) if spec.gram_logdet is None), len(spectra)
+    )
+
+
+def _combined(spectra, table, c: BoundConstants, l: int) -> float:
+    feasible = _feasible_prefix_length(spectra)
+    if l > feasible:
+        raise VariantInapplicable(
+            f"Koopman prefix of length {l} infeasible; "
+            f"largest feasible prefix is {feasible}",
+            largest_feasible_l=feasible,
+        )
+    tail = [spec.fro_norm for spec in spectra[l:]]
+    if 0.0 in tail:
+        return 0.0  # a zero layer collapses the Frobenius tail
+    return _total(c, [row["injective"] for row in table[:l]] + [2.0 * f for f in tail])
 
 
 def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
@@ -389,51 +474,29 @@ def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
     Frobenius-product endpoint.
     """
     _check_constants(net, c)
-    L = net.depth
-    if not (0 <= l <= L):
-        raise InvalidParameterError(f"l must be in [0, {L}], got {l}")
-    feasible = _feasible_prefix_length(net)
-    if l > feasible:
-        raise VariantInapplicable(
-            f"Koopman prefix of length {l} infeasible; "
-            f"largest feasible prefix is {feasible}",
-            largest_feasible_l=feasible,
-        )
-    s_chain = net.smoothness_chain()
-    log_total = math.log(c.prefactor) + (L - l) * math.log(2.0)
-    for j in range(l, L):
-        fro = pq_norm(net.layers[j].weight, 2, 2)
-        if fro == 0.0:
-            return 0.0  # a zero layer collapses the Frobenius tail
-        log_total += math.log(fro)
-    for j in range(l):
-        w = net.layers[j].weight
-        log_total += (
-            math.log(max(1.0, operator_norm(w) ** s_chain[j]))
-            + math.log(c.g_factors[j])
-            + math.log(c.sigma_norms[j])
-            - gram_logdet(w) / 4.0
-        )
-    return math.exp(log_total)
+    if not (0 <= l <= net.depth):
+        raise InvalidParameterError(f"l must be in [0, {net.depth}], got {l}")
+    spectra = _spectra(net)
+    return _combined(spectra, _factor_table(spectra, net, c), c, l)
+
+
+def _combined_best(spectra, table, c: BoundConstants):
+    feasible = _feasible_prefix_length(spectra)
+    per_l = [
+        (l, _combined(spectra, table, c, l) if l <= feasible else None)
+        for l in range(len(spectra) + 1)
+    ]
+    best_l, best_val = min(per_l[: feasible + 1], key=lambda lv: lv[1])
+    return best_l, best_val, per_l
 
 
 def bound_combined_best(
     net: NetworkSpec, c: BoundConstants
 ) -> tuple[int, float, list[tuple[int, float | None]]]:
     """Minimize the combined bound over the split point l; ties go to smaller l."""
-    L = net.depth
-    feasible = _feasible_prefix_length(net)
-    per_l: list[tuple[int, float | None]] = []
-    best_l, best_val = 0, math.inf
-    for l in range(L + 1):
-        if l > feasible:
-            per_l.append((l, None))
-            continue
-        val = bound_combined(net, c, l)
-        per_l.append((l, val))
-        if val < best_val:
-            best_l, best_val = l, val
-    return best_l, best_val, per_l
+    _check_constants(net, c)
+    spectra = _spectra(net)
+    return _combined_best(spectra, _factor_table(spectra, net, c), c)
 
 
 # ---------------------------------------------------------------------------
@@ -441,57 +504,53 @@ def bound_combined_best(
 
 
 def bound_neyshabur15(net: NetworkSpec, n: int) -> float:
-    L = net.depth
-    prod = 1.0
-    for layer in net.layers:
-        prod *= pq_norm(layer.weight, 2, 2)
-    return 2.0 ** L * prod / math.sqrt(n)
+    prod = math.prod(pq_norm(layer.weight, 2, 2) for layer in net.layers)
+    return 2.0 ** net.depth * prod / math.sqrt(n)
+
+
+def _neyshabur18(spectra: list[LayerSpectrum], n: int) -> float:
+    if any(spec.op_norm == 0.0 for spec in spectra):
+        raise VariantInapplicable(
+            "zero operator norm makes the stable-rank sum undefined"
+        )
+    max_width = max(spec.rows for spec in spectra)
+    prod = math.prod(spec.op_norm for spec in spectra)
+    ratio_sum = sum((spec.fro_norm / spec.op_norm) ** 2 for spec in spectra)
+    return len(spectra) * max_width * prod * math.sqrt(ratio_sum) / math.sqrt(n)
 
 
 def bound_neyshabur18(net: NetworkSpec, n: int) -> float:
-    L = net.depth
-    max_width = max(l.out_dim for l in net.layers)
-    prod = 1.0
-    ratio_sum = 0.0
-    for layer in net.layers:
-        op = operator_norm(layer.weight)
-        if op == 0.0:
-            raise VariantInapplicable(
-                "zero operator norm makes the stable-rank sum undefined"
-            )
-        prod *= op
-        ratio_sum += (pq_norm(layer.weight, 2, 2) / op) ** 2
-    return L * max_width * prod * math.sqrt(ratio_sum) / math.sqrt(n)
+    return _neyshabur18(_spectra(net), n)
 
 
 def bound_golowich18(net: NetworkSpec, n: int) -> float:
     L = net.depth
-    prod = 1.0
-    for layer in net.layers:
-        prod *= pq_norm(layer.weight, 2, 2)
+    prod = math.prod(pq_norm(layer.weight, 2, 2) for layer in net.layers)
     return prod * min(n ** -0.25, math.sqrt(L / n))
+
+
+def _bartlett17(net: NetworkSpec, spectra, n: int, refs) -> float:
+    if refs is None:
+        refs = [np.zeros_like(l.weight) for l in net.layers]
+    if len(refs) != net.depth:
+        raise InvalidParameterError("need one reference matrix per layer")
+    if any(spec.op_norm == 0.0 for spec in spectra):
+        raise VariantInapplicable(
+            "zero operator norm makes the discrepancy ratio undefined"
+        )
+    disc_sum = 0.0
+    for layer, spec, a in zip(net.layers, spectra, refs):
+        disc = pq_norm(layer.weight.T - np.asarray(a, dtype=float).T, 2, 1)
+        disc_sum += disc ** (2.0 / 3.0) / spec.op_norm ** (2.0 / 3.0)
+    prod = math.prod(spec.op_norm for spec in spectra)
+    return prod / math.sqrt(n) * disc_sum ** 1.5
 
 
 def bound_bartlett17(
     net: NetworkSpec, n: int, refs: list[np.ndarray] | None = None
 ) -> float:
     """Spectral product times the (2,1)-discrepancy sum from reference matrices."""
-    if refs is None:
-        refs = [np.zeros_like(l.weight) for l in net.layers]
-    if len(refs) != net.depth:
-        raise InvalidParameterError("need one reference matrix per layer")
-    prod = 1.0
-    disc_sum = 0.0
-    for layer, a in zip(net.layers, refs):
-        op = operator_norm(layer.weight)
-        if op == 0.0:
-            raise VariantInapplicable(
-                "zero operator norm makes the discrepancy ratio undefined"
-            )
-        prod *= op
-        disc = pq_norm(layer.weight.T - np.asarray(a, dtype=float).T, 2, 1)
-        disc_sum += disc ** (2.0 / 3.0) / op ** (2.0 / 3.0)
-    return prod / math.sqrt(n) * disc_sum ** 1.5
+    return _bartlett17(net, _spectra(net), n, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -581,68 +640,34 @@ class BoundReport:
     combined_per_l: list[tuple[int, float | None]]
     matrix_factor: float  # constants-free product of Koopman layer factors
     metadata: dict
+    # per-layer spectra the report was computed from; not serialized
+    spectra: list[LayerSpectrum] = field(default_factory=list, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": 1,
-            "layers": [
-                {
-                    "index": r.index,
-                    "rows": r.rows,
-                    "cols": r.cols,
-                    "singular_values": r.singular_values,
-                    "condition_number": (
-                        "inf" if math.isinf(r.condition_number) else r.condition_number
-                    ),
-                    "density_ratio_bound": r.density_ratio_bound,
-                    "det_factor": r.det_factor,
-                    "numeric_rank": r.numeric_rank,
-                    "variant_choice": r.variant_choice,
-                    "factors": r.factors,
-                }
-                for r in self.layers
-            ],
-            "totals": self.totals,
-            "inapplicable": self.inapplicable,
-            "combined_l_star": self.combined_l_star,
-            "combined_per_l": [[l, v] for l, v in self.combined_per_l],
-            "matrix_factor": self.matrix_factor,
-            "metadata": self.metadata,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        doc["layers"] = [
+            dict(vars(r), condition_number=(
+                "inf" if math.isinf(r.condition_number) else r.condition_number
+            ))
+            for r in self.layers
+        ]
+        doc["combined_per_l"] = [[l, v] for l, v in self.combined_per_l]
+        return {"version": 1, **doc}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BoundReport":
-        layers = [
-            LayerRecord(
-                index=r["index"],
-                rows=r["rows"],
-                cols=r["cols"],
-                singular_values=r["singular_values"],
-                condition_number=(
-                    math.inf
-                    if r["condition_number"] == "inf"
-                    else r["condition_number"]
-                ),
-                density_ratio_bound=r["density_ratio_bound"],
-                det_factor=r["det_factor"],
-                numeric_rank=r["numeric_rank"],
-                variant_choice=r["variant_choice"],
-                factors=r["factors"],
-            )
+        kwargs = {f.name: doc[f.name] for f in fields(cls) if f.compare}
+        kwargs["layers"] = [
+            LayerRecord(**dict(r, condition_number=(
+                math.inf if r["condition_number"] == "inf" else r["condition_number"]
+            )))
             for r in doc["layers"]
         ]
-        return cls(
-            layers=layers,
-            totals=doc["totals"],
-            inapplicable=doc["inapplicable"],
-            combined_l_star=doc["combined_l_star"],
-            combined_per_l=[tuple(x) for x in doc["combined_per_l"]],
-            matrix_factor=doc["matrix_factor"],
-            metadata=doc["metadata"],
-        )
+        kwargs["combined_per_l"] = [tuple(x) for x in doc["combined_per_l"]]
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "BoundReport":
@@ -680,6 +705,16 @@ class BoundReport:
         return buf.getvalue()
 
 
+def _matrix_factor(spectra, s_chain, use_layer_s: bool = True) -> float:
+    log_total = 0.0
+    for j, spec in enumerate(spectra):
+        s = s_chain[j + 1] if use_layer_s else s_chain[j]
+        if spec.sigma_min == 0.0:
+            return math.inf
+        log_total += s * math.log(spec.op_norm) - 0.5 * float(np.sum(np.log(spec.sigma)))
+    return math.exp(log_total)
+
+
 def matrix_factor_product(net: NetworkSpec, use_layer_s: bool = True) -> float:
     """Constants-free spectral product prod_j ||W_j||^s / det(W^T W)^(1/4).
 
@@ -688,15 +723,7 @@ def matrix_factor_product(net: NetworkSpec, use_layer_s: bool = True) -> float:
     use_layer_s is set, otherwise the input-side exponent.  Returns +inf
     when a layer is rank deficient.
     """
-    s_chain = net.smoothness_chain()
-    log_total = 0.0
-    for j, layer in enumerate(net.layers):
-        s = s_chain[j + 1] if use_layer_s else s_chain[j]
-        sv = singular_values(layer.weight)
-        if float(sv[-1]) == 0.0:
-            return math.inf
-        log_total += s * math.log(float(sv[0])) - 0.5 * float(np.sum(np.log(sv)))
-    return math.exp(log_total)
+    return _matrix_factor(_spectra(net), net.smoothness_chain(), use_layer_s)
 
 
 def full_report(
@@ -705,77 +732,50 @@ def full_report(
     weighted_tol: float = 1e-8,
     bartlett_refs: list[np.ndarray] | None = None,
 ) -> BoundReport:
-    """Evaluate every variant and competitor; inapplicable ones become markers."""
+    """Evaluate every variant and competitor; inapplicable ones become markers.
+
+    One SVD per layer: every quantity below is read from the layers'
+    spectra, which the report keeps in `spectra`.
+    """
     net.validate()
     _check_constants(net, c)
     s_chain = net.smoothness_chain()
-    layers: list[LayerRecord] = []
-    widths = net.widths
-    for j, layer in enumerate(net.layers):
-        w = layer.weight
-        sv = singular_values(w)
-        s_prev = s_chain[j]
-        factors: dict[str, float | None] = {}
-        try:
-            det_factor = math.exp(gram_logdet(w) / 4.0)
-        except (RankDeficientError, matcore.ShapeError):
-            det_factor = None
-        drb = density_ratio_bound(w, s_prev)
-        if det_factor is not None and w.shape[0] == w.shape[1]:
-            factors["invertible"] = math.sqrt(drb) * c.sigma_norms[j] / det_factor
-        else:
-            factors["invertible"] = None
-        if det_factor is not None and w.shape[0] >= w.shape[1]:
-            factors["injective"] = (
-                math.sqrt(drb) * c.g_factors[j] * c.sigma_norms[j] / det_factor
-            )
-        else:
-            factors["injective"] = None
-        factors["graph"] = (
-            _graph_layer_factor(w, s_prev) * c.g_factors[j] * c.sigma_norms[j]
-        )
-        rdet, rank = restricted_det(w, weighted_tol)
-        factors["weighted"] = (
-            max(1.0, operator_norm(w) ** s_prev)
-            * c.g_factors[j]
-            * c.sigma_norms[j]
-            / math.sqrt(rdet)
-        )
-        layers.append(
-            LayerRecord(
-                index=j + 1,
-                rows=w.shape[0],
-                cols=w.shape[1],
-                singular_values=[float(x) for x in sv],
-                condition_number=matcore.condition_number(w),
-                density_ratio_bound=drb,
-                det_factor=det_factor,
-                numeric_rank=rank,
-                variant_choice=choose_variant(layer, widths[j]).tag,
-                factors=factors,
-            )
-        )
-
+    spectra = _spectra(net, weighted_tol)
+    table = _factor_table(spectra, net, c)
     totals: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
 
-    def attempt(name, fn, *args, **kwargs):
+    def attempt(name, fn, *args):
         try:
-            totals[name] = fn(*args, **kwargs)
+            totals[name] = fn(*args)
         except VariantInapplicable as exc:
             inapplicable[name] = exc.reason
 
-    attempt("invertible", bound_invertible, net, c)
-    attempt("injective", bound_injective, net, c)
-    attempt("graph", bound_graph, net, c)
-    attempt("weighted", bound_weighted, net, c, weighted_tol)
-    l_star, combined_val, per_l = bound_combined_best(net, c)
-    totals["combined"] = combined_val
+    for variant in ("invertible", "injective", "graph", "weighted"):
+        attempt(variant, _variant_total, variant, spectra, table, c)
+    l_star, totals["combined"], per_l = _combined_best(spectra, table, c)
     attempt("neyshabur15", bound_neyshabur15, net, c.n)
-    attempt("neyshabur18", bound_neyshabur18, net, c.n)
+    attempt("neyshabur18", _neyshabur18, spectra, c.n)
     attempt("golowich18", bound_golowich18, net, c.n)
-    attempt("bartlett17", bound_bartlett17, net, c.n, bartlett_refs)
+    attempt("bartlett17", _bartlett17, net, spectra, c.n, bartlett_refs)
 
+    layers = [
+        LayerRecord(
+            index=j + 1,
+            rows=spec.rows,
+            cols=spec.cols,
+            singular_values=[float(x) for x in spec.sigma],
+            condition_number=spec.condition_number,
+            density_ratio_bound=density_ratio_bound(spec, s_chain[j]),
+            det_factor=(
+                None if spec.gram_logdet is None else math.exp(spec.gram_logdet / 4.0)
+            ),
+            numeric_rank=spec.restricted_rank,
+            variant_choice=choose_variant(spec, net.widths[j]).tag,
+            factors=factors,
+        )
+        for j, (spec, factors) in enumerate(zip(spectra, table))
+    ]
     flags = list(c.notes)
     flags.append("graph total is modulo the lifted-head psi-norm")
     return BoundReport(
@@ -784,7 +784,7 @@ def full_report(
         inapplicable=inapplicable,
         combined_l_star=l_star,
         combined_per_l=per_l,
-        matrix_factor=matrix_factor_product(net),
+        matrix_factor=_matrix_factor(spectra, s_chain),
         metadata={
             "n": c.n,
             "B": c.B,
@@ -794,4 +794,5 @@ def full_report(
             "smoothness_chain": s_chain,
             "flags": flags,
         },
+        spectra=spectra,
     )

@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import trainer, verify, weightio
+from . import diagnostics, trainer, verify, weightio
+from .matcore import InvalidParameterError
 from .network import GaussianHead, SoftmaxHead, ValidationError
 from .svgplot import pearson, write_scatter
 
@@ -61,27 +62,38 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
 
 
+def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
+    """Report with default constants; invalid constants become usage errors."""
+    try:
+        c = bounds_mod.default_constants(net, n, **constants)
+        return bounds_mod.full_report(net, c)
+    except (
+        ValueError, ValidationError, InvalidParameterError,
+        bounds_mod.NotBiLipschitzError,
+    ) as exc:
+        raise CliError(str(exc)) from exc
+
+
 def cmd_inspect(args) -> int:
     net = _load_network(args.weightfile)
-    constants = bounds_mod.default_constants(net, n=1)
-    report = bounds_mod.full_report(net, constants)
+    report = _full_report(net, n=1)
     header = f"{'layer':>5} {'sigma_max':>12} {'sigma_min':>12} {'cond':>12} {'stable_rank':>12} {'koopman':>12}"
     print(header)
     rows = []
-    for rec in report.layers:
+    for rec, spec in zip(report.layers, report.spectra):
         smax = rec.singular_values[0]
         smin = rec.singular_values[-1]
         cond = "inf" if math.isinf(rec.condition_number) else f"{rec.condition_number:.6g}"
-        srank = (
-            sum(v * v for v in rec.singular_values) / (smax * smax)
-            if smax > 0 else float("nan")
-        )
-        koop = rec.factors.get("invertible")
-        if koop is None:
+        try:
+            srank = diagnostics.stable_rank(spec)
+        except diagnostics.DiagnosticsError:
+            srank = float("nan")
+        if rec.det_factor is None:
             koop_txt = "n/a"
-            note = "  (rank deficient: invertible/injective variants inapplicable)"
+            why = "wide" if rec.rows < rec.cols else "rank deficient"
+            note = f"  ({why}: invertible/injective variants inapplicable)"
         else:
-            # strip the activation norm so the column is the pure matrix factor
+            # the pure matrix factor, without the activation norm
             koop_txt = f"{math.sqrt(rec.density_ratio_bound) / rec.det_factor:.6g}"
             note = ""
         print(
@@ -97,12 +109,6 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-KNOWN_VARIANTS = (
-    "invertible", "injective", "graph", "weighted", "combined",
-    "neyshabur15", "neyshabur18", "golowich18", "bartlett17",
-)
-
-
 def cmd_bound(args) -> int:
     net = _load_network(args.weightfile)
     sigma_norms = (
@@ -111,20 +117,16 @@ def cmd_bound(args) -> int:
     g_factors = (
         _parse_floats(args.g_factors, "--g-factors") if args.g_factors else None
     )
-    try:
-        constants = bounds_mod.default_constants(
-            net, args.n, B=args.B, g_norm=args.g_norm,
-            sigma_norms=sigma_norms, g_factors=g_factors,
-        )
-        report = bounds_mod.full_report(net, constants)
-    except (ValueError, ValidationError) as exc:
-        raise CliError(str(exc)) from exc
+    report = _full_report(
+        net, args.n, B=args.B, g_norm=args.g_norm,
+        sigma_norms=sigma_norms, g_factors=g_factors,
+    )
     if args.variants:
         wanted = [v.strip() for v in args.variants.split(",")]
         for v in wanted:
-            if v not in KNOWN_VARIANTS:
+            if v not in bounds_mod.ALL_VARIANTS:
                 raise CliError(
-                    f"unknown variant {v!r}; known: {', '.join(KNOWN_VARIANTS)}"
+                    f"unknown variant {v!r}; known: {', '.join(bounds_mod.ALL_VARIANTS)}"
                 )
         report.totals = {k: v for k, v in report.totals.items() if k in wanted}
         report.inapplicable = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .bounds import koopman_layer_factor
+from .bounds import LayerSpectrum, koopman_layer_factor
 from .matcore import RankDeficientError, ShapeError
 from .network import NetworkSpec
 
@@ -38,8 +38,11 @@ def layer_spectrum(w) -> np.ndarray:
 
 
 def stable_rank(w) -> float:
-    """||W||_F^2 / ||W||^2, a soft rank proxy in [1, min(rows, cols)]."""
-    s = matcore.singular_values(w)
+    """||W||_F^2 / ||W||^2, a soft rank proxy in [1, min(rows, cols)].
+
+    w is a matrix or its bounds.LayerSpectrum.
+    """
+    s = w.sigma if isinstance(w, LayerSpectrum) else matcore.singular_values(w)
     top = float(s[0])
     if top == 0.0:
         raise DiagnosticsError("stable rank is undefined for the zero matrix")
@@ -141,24 +144,30 @@ def snapshot(
     epoch: int,
     alignment: float | None = None,
     test_metric: float | None = None,
+    spectra: list[LayerSpectrum] | None = None,
 ) -> EpochRecord:
-    """Summarize the current weights into one epoch record."""
+    """Summarize the current weights into one epoch record.
+
+    spectra, one per layer of the current weights (as kept by
+    bounds.full_report), saves recomputing them.
+    """
     s_chain = net.smoothness_chain()
+    if spectra is None:
+        spectra = [LayerSpectrum.of(layer.weight) for layer in net.layers]
     snaps = []
-    for j, layer in enumerate(net.layers):
-        sv = layer_spectrum(layer.weight)
+    for j, spec in enumerate(spectra):
         try:
-            factor = koopman_layer_factor(layer.weight, s_chain[j])
+            factor = koopman_layer_factor(spec, s_chain[j])
         except (RankDeficientError, ShapeError):
             factor = None
         try:
-            srank = stable_rank(layer.weight)
+            srank = stable_rank(spec)
         except DiagnosticsError:
             srank = float("nan")
         snaps.append(
             LayerSnapshot(
-                singular_values=[float(x) for x in sv],
-                condition_number=matcore.condition_number(layer.weight),
+                singular_values=[float(x) for x in spec.sigma],
+                condition_number=spec.condition_number,
                 stable_rank=srank,
                 layer_factor=factor,
             )

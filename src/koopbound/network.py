@@ -34,8 +34,8 @@ class SmoothLeakyRelu:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not (0 < self.mu < np.inf):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,13 @@ class GaussianHead:
     kind: str = field(default="gaussian", init=False)
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"gaussian head needs c > 0, got {self.c}")
+        if not (0 < self.c < np.inf):
+            raise ValueError(f"gaussian head needs finite c > 0, got {self.c}")
+
+
+def _check_h_norm(h_norm) -> None:
+    if not (0 < h_norm < np.inf):
+        raise ValueError(f"head norm h_norm must be positive and finite, got {h_norm}")
 
 
 @dataclass(frozen=True)
@@ -76,12 +81,18 @@ class SoftmaxHead:
     h_norm: float = 1.0
     kind: str = field(default="softmax", init=False)
 
+    def __post_init__(self):
+        _check_h_norm(self.h_norm)
+
 
 @dataclass(frozen=True)
 class CustomHead:
     name: str
     h_norm: float = 1.0
     kind: str = field(default="custom", init=False)
+
+    def __post_init__(self):
+        _check_h_norm(self.h_norm)
 
 
 Head = Union[GaussianHead, SoftmaxHead, CustomHead]
@@ -104,6 +115,8 @@ class LayerSpec:
     def __post_init__(self):
         self.weight = matcore.as_matrix(self.weight)
         self.bias = np.asarray(self.bias, dtype=np.float64).reshape(-1)
+        if not np.all(np.isfinite(self.bias)):
+            raise matcore.NotFiniteError("bias contains NaN or Inf entries")
         if self.s_out is None:
             self.s_out = default_smoothness(self.weight.shape[0])
 
@@ -142,11 +155,12 @@ class NetworkSpec:
         return [self.s_in] + [layer.s_out for layer in self.layers]
 
     def violations(self) -> list[str]:
+        # comparisons are written so that a NaN smoothness order fails them
         errs: list[str] = []
         if not self.layers:
             errs.append("network must have at least one layer")
             return errs
-        if self.s_in <= self.input_dim / 2:
+        if not self.s_in > self.input_dim / 2:
             errs.append(
                 f"s_in={self.s_in} must exceed input_dim/2={self.input_dim / 2}"
             )
@@ -163,12 +177,12 @@ class NetworkSpec:
                     f"layer {j}: bias length {layer.bias.shape[0]} does not "
                     f"match {layer.out_dim} rows"
                 )
-            if layer.s_out <= layer.out_dim / 2:
+            if not layer.s_out > layer.out_dim / 2:
                 errs.append(
                     f"layer {j}: s={layer.s_out} must exceed "
                     f"out_dim/2={layer.out_dim / 2}"
                 )
-            if layer.s_out < prev_s:
+            if not layer.s_out >= prev_s:
                 errs.append(
                     f"layer {j}: smoothness must be non-decreasing, "
                     f"got s={layer.s_out} after s={prev_s}"

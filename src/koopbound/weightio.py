@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .matcore import MatCoreError
 from .network import (
     CustomActivation,
     CustomHead,
@@ -113,36 +114,50 @@ def network_to_json_dict(net: NetworkSpec) -> dict:
     }
 
 
+# what malformed values raise while a document is turned into a network
+_PARSE_ERRORS = (AttributeError, TypeError, ValueError, MatCoreError)
+
+
+def _layer_from_json(j: int, rec) -> LayerSpec:
+    try:
+        rows, cols = int(rec["rows"]), int(rec["cols"])
+        weights = np.asarray(rec["weights"], dtype=np.float64)
+        if weights.size != rows * cols:
+            raise WeightFileError(
+                f"layer {j}: {weights.size} weights for a {rows}x{cols} matrix"
+            )
+        return LayerSpec(
+            weight=weights.reshape(rows, cols),
+            bias=np.asarray(rec["bias"], dtype=np.float64),
+            activation=_activation_from_json(rec["activation"]),
+            s_out=float(rec["s"]),
+        )
+    except KeyError as exc:
+        raise WeightFileError(f"layer {j}: missing field {exc}") from exc
+    except _PARSE_ERRORS as exc:
+        raise WeightFileError(f"layer {j}: {exc}") from exc
+
+
 def network_from_json_dict(doc: dict) -> NetworkSpec:
+    """Build and validate a network; every malformed value raises WeightFileError."""
+    if not isinstance(doc, dict):
+        raise WeightFileError("weight file must hold a JSON object")
     if doc.get("version") != 1:
         raise WeightFileError(f"unsupported weight-file version {doc.get('version')!r}")
-    layers = []
-    for j, rec in enumerate(doc.get("layers", []), start=1):
-        try:
-            rows, cols = int(rec["rows"]), int(rec["cols"])
-            weights = np.asarray(rec["weights"], dtype=np.float64)
-            if weights.size != rows * cols:
-                raise WeightFileError(
-                    f"layer {j}: {weights.size} weights for a {rows}x{cols} matrix"
-                )
-            layers.append(
-                LayerSpec(
-                    weight=weights.reshape(rows, cols),
-                    bias=np.asarray(rec["bias"], dtype=np.float64),
-                    activation=_activation_from_json(rec["activation"]),
-                    s_out=float(rec["s"]),
-                )
-            )
-        except KeyError as exc:
-            raise WeightFileError(f"layer {j}: missing field {exc}") from exc
+    layer_docs = doc.get("layers", [])
+    if not isinstance(layer_docs, list):
+        raise WeightFileError("layers must be a list")
+    layers = [_layer_from_json(j, rec) for j, rec in enumerate(layer_docs, start=1)]
     if not layers:
         raise WeightFileError("weight file has no layers")
-    net = NetworkSpec(
-        input_dim=layers[0].in_dim,
-        layers=layers,
-        head=_head_from_json(doc.get("head", {})),
-        s_in=float(doc["s_in"]),
-    )
+    try:
+        head = _head_from_json(doc.get("head", {}))
+        s_in = float(doc["s_in"])
+    except KeyError as exc:
+        raise WeightFileError(f"missing field {exc}") from exc
+    except _PARSE_ERRORS as exc:
+        raise WeightFileError(f"invalid head or s_in: {exc}") from exc
+    net = NetworkSpec(input_dim=layers[0].in_dim, layers=layers, head=head, s_in=s_in)
     net.validate()  # re-validates all structural invariants on load
     return net
 

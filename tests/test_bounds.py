@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopbound import bounds as bm
+from koopbound import diagnostics, matcore, trainer
 from koopbound.bounds import (
     BoundConstants,
     BoundReport,
     GridSpec,
+    LayerSpectrum,
+    NotBiLipschitzError,
     VariantInapplicable,
     activation_opnorm_bound,
     bound_bartlett17,
@@ -39,6 +42,7 @@ from koopbound.network import (
     LayerSpec,
     NetworkSpec,
     SmoothLeakyRelu,
+    SoftmaxHead,
 )
 
 import oracles
@@ -170,6 +174,136 @@ class TestActivationBound:
         act = CustomActivation(name="aff", derivative_sup=2.0, inverse_jacobian_sup=3.0)
         assert activation_opnorm_bound(act, 7) == pytest.approx(6.0)
 
+    def test_extremes_beyond_the_old_grid(self):
+        # sigma' peaks at x = 1/(mu (1 - alpha)) = 200, outside the
+        # [-100, 100] grid that gave 1.234567901234568 here
+        swing = math.erf(1.0) + 2.0 / (math.e * math.sqrt(math.pi))
+        sup, inf = 0.5 * (1.9 + 0.1 * swing), 0.5 * (1.9 - 0.1 * swing)
+        val = activation_opnorm_bound(SmoothLeakyRelu(alpha=0.9, mu=0.05), 2)
+        assert val == pytest.approx((1.0 / inf) ** 2 * sup, rel=1e-12)
+        assert val > 1.234567901234568
+
+    @pytest.mark.parametrize("alpha,mu", [(0.9, 0.05), (0.5, 0.5), (0.3, 2.0), (0.2, 1e-3)])
+    def test_bound_from_sampled_derivative(self, alpha, mu):
+        # oracle: the derivative sampled densely around its extremes
+        x = np.linspace(-3.0, 3.0, 600_001) / (mu * (1.0 - alpha))
+        deriv = trainer.smooth_leaky_relu_derivative(x, alpha, mu)
+        sampled = (1.0 / deriv.min()) ** 3 * max(1.0, deriv.max())
+        val = activation_opnorm_bound(SmoothLeakyRelu(alpha=alpha, mu=mu), 3)
+        assert val >= sampled * (1 - 1e-12)
+        assert val == pytest.approx(sampled, rel=1e-9)
+
+    def test_not_bi_lipschitz(self):
+        # sigma' dips below zero near x = -1/(mu (1 - alpha)) once alpha < 0.114
+        with pytest.raises(NotBiLipschitzError):
+            activation_opnorm_bound(SmoothLeakyRelu(alpha=0.1, mu=0.001), 2)
+
+    @pytest.mark.parametrize(
+        "d,recorded", [(2, 5.6111801090104425), (128, 1.700295189156868e+46)]
+    )
+    def test_default_activation_unchanged(self, d, recorded):
+        # values the earlier 400 001-point grid gave for the default activation
+        val = activation_opnorm_bound(SmoothLeakyRelu(), d)
+        assert val == pytest.approx(recorded, rel=1e-12)
+
+
+class TestLayerSpectrum:
+    MATRICES = [
+        np.diag([3.0, 2.0, 0.5]),
+        np.arange(12.0).reshape(4, 3),  # tall, rank 2
+        np.outer([1.0, 2.0], [1.0, 0.0, 1.0]),  # wide, rank 1
+        np.zeros((3, 2)),
+        np.random.default_rng(8).standard_normal((6, 4)),
+    ]
+
+    @pytest.mark.parametrize("w", MATRICES)
+    def test_fields_match_matcore(self, w):
+        spec = LayerSpectrum.of(w)
+        assert spec.op_norm == matcore.operator_norm(w)
+        assert spec.fro_norm == matcore.pq_norm(w, 2, 2)
+        assert spec.rank == matcore.numeric_rank(w)
+        assert spec.condition_number == matcore.condition_number(w)
+        rdet, rrank = matcore.restricted_det(w, 1e-8)
+        assert spec.restricted_rank == rrank
+        assert math.exp(spec.restricted_logdet) == pytest.approx(rdet, rel=1e-12)
+        assert spec.lifted_logdet == pytest.approx(
+            math.log(np.linalg.det(np.eye(w.shape[1]) + w.T @ w)), abs=1e-12
+        )
+        try:
+            expected = matcore.gram_logdet(w)
+        except (RankDeficientError, matcore.ShapeError):
+            expected = None
+        assert spec.gram_logdet == expected
+
+    def test_factors_raise_like_matcore(self):
+        with pytest.raises(matcore.ShapeError):
+            koopman_layer_factor(LayerSpectrum.of(np.ones((2, 3))), 1.05)
+        with pytest.raises(RankDeficientError) as err:
+            koopman_layer_factor(LayerSpectrum.of(np.diag([1.0, 0.0])), 1.05)
+        assert err.value.sigma_min == 0.0
+
+    def test_sigma_is_read_only(self):
+        with pytest.raises(ValueError):
+            LayerSpectrum.of(np.eye(2)).sigma[0] = 5.0
+
+    def test_invalid_weighted_tol(self):
+        with pytest.raises(InvalidParameterError):
+            LayerSpectrum.of(np.eye(2), weighted_tol=0.0)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count every numpy SVD, also those reached through numpy's private module."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    for owner in (np.linalg, getattr(np.linalg, "_linalg", np.linalg)):
+        monkeypatch.setattr(owner, "svd", counted)
+    for module in (bm, matcore, diagnostics):
+        for name, value in vars(module).items():
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _digits_shape_net(seed=0):
+    return trainer.build_network(
+        [64, 128, 128, 10], SoftmaxHead(), seed=seed,
+        init=["orthogonal", "orthogonal", "truncated_normal"],
+    )
+
+
+class TestSvdCount:
+    def test_full_report_one_svd_per_layer(self, svd_calls):
+        net = _digits_shape_net()
+        c = default_constants(net, 1500)
+        svd_calls.clear()
+        full_report(net, c)
+        assert len(svd_calls) <= 3
+
+    def test_training_epoch_report_and_snapshot(self, svd_calls):
+        rng = np.random.default_rng(0)
+        data = trainer.Dataset(
+            inputs=rng.random((40, 64)), targets=rng.integers(0, 10, 40),
+            held_inputs=rng.random((20, 64)), held_targets=rng.integers(0, 10, 20),
+        )
+        counts = []
+        for epochs in (1, 2):
+            config = trainer.TrainConfig(
+                epochs=epochs, regularizer="none", optimizer="adam",
+                learning_rate=1e-3, head_loss="cross_entropy",
+            )
+            svd_calls.clear()
+            run = trainer.train(config, data, _digits_shape_net(), classification=True)
+            assert not run.diverged
+            counts.append(len(svd_calls))
+        # the second epoch adds only its report and snapshot
+        assert counts[1] - counts[0] <= 3
+
 
 class TestChooseVariant:
     def test_square_full_rank(self):
@@ -261,6 +395,13 @@ class TestCombined:
             / 5.0
         )
         assert bound_combined(net, c, 0) == pytest.approx(expected, rel=1e-12)
+
+    def test_full_prefix_equals_injective_exactly(self):
+        for seed in range(5):
+            net = self._net(seed)
+            c = constants_for(net)
+            _, _, per_l = bound_combined_best(net, c)
+            assert per_l[net.depth][1] == bound_injective(net, c)
 
     def test_best_no_worse_than_endpoints(self):
         rng = np.random.default_rng(5)

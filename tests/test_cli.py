@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from koopbound import cli, weightio
-from koopbound.network import GaussianHead
+from koopbound import bounds, cli, weightio
+from koopbound.network import GaussianHead, SmoothLeakyRelu, SoftmaxHead
 from koopbound.trainer import build_network
 
 
@@ -51,6 +51,42 @@ class TestUsageErrors:
         code = run_cli("bound", weightfile, "--n", "100", "--sigma-norms", "1.0,x")
         assert code == cli.EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags", [("--n", "0"), ("--n", "5", "--g-norm", "-1"), ("--n", "5", "--sigma-norms", "1")]
+    )
+    def test_invalid_constants(self, weightfile, capsys, flags):
+        assert run_cli("bound", weightfile, *flags) == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    def test_activation_not_bi_lipschitz(self, tmp_path, capsys):
+        act = SmoothLeakyRelu(alpha=0.1, mu=0.001)
+        path = tmp_path / "net.json"
+        weightio.save_weights(build_network([3, 3, 6], GaussianHead(), seed=0, activation=act), path)
+        for argv in (("bound", str(path), "--n", "10"), ("inspect", str(path))):
+            assert run_cli(*argv) == cli.EXIT_USAGE
+            assert "not bounded away from zero" in capsys.readouterr().err
+
+
+# each edit leaves a malformed file that must end in exit 2, never a traceback
+MALFORMED = {
+    "missing_s_in": lambda d: d.pop("s_in"),
+    "alpha_out_of_range": lambda d: d["layers"][0]["activation"]["params"].update(alpha=2.0),
+    "unknown_head_param": lambda d: d["head"]["params"].update(width=3),
+    "non_numeric_weight": lambda d: d["layers"][0]["weights"].__setitem__(0, "x"),
+    "nan_bias": lambda d: d["layers"][0]["bias"].__setitem__(0, float("nan")),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED))
+def test_malformed_weight_file_exits_2(tmp_path, capsys, edit):
+    doc = weightio.network_to_json_dict(build_network([3, 3, 6], GaussianHead(), seed=2))
+    MALFORMED[edit](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("bound", str(path), "--n", "100"), ("inspect", str(path))):
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBoundCommand:
@@ -100,6 +136,26 @@ class TestInspectCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "layer,sigma_max,sigma_min,cond,stable_rank,koopman_factor"
         assert len(lines) == 3  # header + two layers
+
+    def test_tall_full_rank_layers_have_factors(self, tmp_path, capsys):
+        net = build_network([3, 5, 6], GaussianHead(), seed=0)
+        path, table = tmp_path / "net.json", tmp_path / "table.csv"
+        weightio.save_weights(net, path)
+        assert run_cli("inspect", str(path), "--csv", str(table)) == 0
+        printed = capsys.readouterr().out
+        assert "n/a" not in printed and "rank deficient" not in printed
+        s_chain = net.smoothness_chain()
+        for j, line in enumerate(table.read_text().splitlines()[1:]):
+            factor = bounds.koopman_layer_factor(net.layers[j].weight, s_chain[j])
+            assert line.split(",")[-1] == f"{factor:.6g}"
+
+    def test_wide_layer_note(self, tmp_path, capsys):
+        net = build_network([5, 3, 4], SoftmaxHead(), seed=3)
+        path = tmp_path / "net.json"
+        weightio.save_weights(net, path)
+        assert run_cli("inspect", str(path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "(wide:" in lines[1] and "n/a" not in lines[2]
 
     def test_rank_deficient_note(self, tmp_path, capsys):
         net = build_network([3, 3, 6], GaussianHead(), seed=2)

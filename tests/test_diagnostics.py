@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from koopbound.bounds import koopman_layer_factor
+from koopbound.bounds import default_constants, full_report, koopman_layer_factor
 from koopbound.diagnostics import (
     DiagnosticsError,
     EmptySubspaceError,
@@ -89,6 +89,11 @@ class TestSnapshot:
             assert snap.layer_factor == pytest.approx(
                 koopman_layer_factor(layer.weight, s_chain[j])
             )
+
+    def test_report_spectra_give_the_same_record(self):
+        net = build_network([3, 3, 6], GaussianHead(), seed=5)
+        report = full_report(net, default_constants(net, 10))
+        assert snapshot(net, 2, spectra=report.spectra) == snapshot(net, 2)
 
     def test_rank_deficient_layer_marked_none(self):
         net = build_network([3, 3, 6], GaussianHead(), seed=5)

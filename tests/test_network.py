@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from koopbound import matcore
 from koopbound.network import (
     CustomActivation,
+    CustomHead,
     GaussianHead,
     LayerSpec,
     NetworkSpec,
     SmoothLeakyRelu,
+    SoftmaxHead,
     ValidationError,
     default_smoothness,
 )
@@ -34,6 +37,18 @@ class TestComponentValidation:
     def test_gaussian_head_needs_positive_c(self):
         with pytest.raises(ValueError):
             GaussianHead(c=0.0)
+
+    @pytest.mark.parametrize("h_norm", [0.0, -1.0, np.inf, np.nan])
+    def test_head_norms_positive_finite(self, h_norm):
+        with pytest.raises(ValueError):
+            SoftmaxHead(h_norm=h_norm)
+        with pytest.raises(ValueError):
+            CustomHead(name="h", h_norm=h_norm)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bias_must_be_finite(self, bad):
+        with pytest.raises(matcore.NotFiniteError):
+            LayerSpec(weight=np.eye(2), bias=[0.0, bad])
 
     def test_default_smoothness(self):
         assert default_smoothness(3) == pytest.approx(1.55)

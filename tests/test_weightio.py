@@ -102,6 +102,42 @@ class TestErrors:
         with pytest.raises(WeightFileError, match="no layers"):
             network_from_json_dict({"version": 1, "s_in": 1.55, "layers": []})
 
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda d: d.pop("s_in"), "missing field 's_in'"),
+            (lambda d: d["layers"][0]["activation"]["params"].update(alpha=2.0),
+             "layer 1: alpha"),
+            (lambda d: d["head"]["params"].update(width=3), "width"),
+            (lambda d: d["layers"][1]["weights"].__setitem__(2, "0.5x"), "layer 2"),
+            (lambda d: d["layers"][0]["bias"].__setitem__(1, float("nan")),
+             "layer 1: bias"),
+            (lambda d: d["head"].update(params={"h_norm": -1.0}, kind="softmax"),
+             "h_norm"),
+            (lambda d: d.update(layers={"layer1": {}}), "layers must be a list"),
+            (lambda d: d.update(head=["gaussian"]), "invalid head"),
+        ],
+        ids=["missing_s_in", "alpha_range", "head_param", "non_numeric_weight",
+             "nan_bias", "negative_head_norm", "layers_not_a_list", "head_not_an_object"],
+    )
+    def test_malformed_values_raise_weight_file_error(self, net, edit, match):
+        doc = network_to_json_dict(net)
+        edit(doc)
+        with pytest.raises(WeightFileError, match=match):
+            network_from_json_dict(doc)
+
+    def test_document_not_an_object(self):
+        with pytest.raises(WeightFileError, match="JSON object"):
+            network_from_json_dict([1, 2])
+
+    def test_nan_smoothness_fails_validation(self, net, tmp_path):
+        doc = network_to_json_dict(net)
+        doc["s_in"] = float("nan")
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightFileError, match="s_in=nan"):
+            load_weights(path)
+
     def test_unknown_activation_kind(self, net):
         doc = network_to_json_dict(net)
         doc["layers"][0]["activation"]["kind"] = "relu6"
