@@ -290,34 +290,26 @@ def g_factor_gaussian(w, c_gauss: float) -> float:
     return (2.0 * c_gauss / math.pi) ** (k / 4.0)
 
 
-# sigma'(x) of the smooth leaky ReLU is extremal at x = +-1/(mu (1 - alpha)),
-# where it equals ((1 + alpha) +- (1 - alpha) * _SLRELU_SWING) / 2, whatever mu.
-_SLRELU_SWING = math.erf(1.0) + 2.0 / (math.e * math.sqrt(math.pi))
-
-
 def activation_opnorm_bound(activation, d: int) -> float:
     """Bound on the composition-operator norm of an elementwise activation.
 
     For s = 1 and elementwise sigma this is
     (sup 1/sigma')^d * max{1, sup sigma'}.  For the smooth leaky ReLU the
-    extremes of sigma' are exact closed forms (see _SLRELU_SWING); they lie
-    beyond the asymptotic slopes alpha and 1.  Custom activations carry
-    their sups pre-aggregated.
+    extremes of sigma' are exact closed forms (`derivative_inf`,
+    `derivative_sup`).  Custom activations carry their sups pre-aggregated.
     """
     if isinstance(activation, Identity):
         return 1.0
     if isinstance(activation, CustomActivation):
         return activation.inverse_jacobian_sup * max(1.0, activation.derivative_sup)
     if isinstance(activation, SmoothLeakyRelu):
-        a = activation.alpha
-        inf_deriv = 0.5 * ((1.0 + a) - (1.0 - a) * _SLRELU_SWING)
-        sup_deriv = 0.5 * ((1.0 + a) + (1.0 - a) * _SLRELU_SWING)
+        inf_deriv = activation.derivative_inf
         if inf_deriv <= 0:
             raise NotBiLipschitzError(
                 "activation derivative is not bounded away from zero; "
                 "the composition operator is unbounded"
             )
-        return (1.0 / inf_deriv) ** d * max(1.0, sup_deriv)
+        return (1.0 / inf_deriv) ** d * max(1.0, activation.derivative_sup)
     raise TypeError(f"unknown activation {activation!r}")
 
 
@@ -705,25 +697,23 @@ class BoundReport:
         return buf.getvalue()
 
 
-def _matrix_factor(spectra, s_chain, use_layer_s: bool = True) -> float:
+def _matrix_factor(spectra, s_chain) -> float:
     log_total = 0.0
-    for j, spec in enumerate(spectra):
-        s = s_chain[j + 1] if use_layer_s else s_chain[j]
+    for spec, s in zip(spectra, s_chain[1:]):
         if spec.sigma_min == 0.0:
             return math.inf
         log_total += s * math.log(spec.op_norm) - 0.5 * float(np.sum(np.log(spec.sigma)))
     return math.exp(log_total)
 
 
-def matrix_factor_product(net: NetworkSpec, use_layer_s: bool = True) -> float:
+def matrix_factor_product(net: NetworkSpec) -> float:
     """Constants-free spectral product prod_j ||W_j||^s / det(W^T W)^(1/4).
 
     This is the quantity tracked against the generalization error in the
-    training experiments; s is the layer's own smoothness exponent when
-    use_layer_s is set, otherwise the input-side exponent.  Returns +inf
-    when a layer is rank deficient.
+    training experiments; s is the layer's own smoothness exponent.
+    Returns +inf when a layer is rank deficient.
     """
-    return _matrix_factor(_spectra(net), net.smoothness_chain(), use_layer_s)
+    return _matrix_factor(_spectra(net), net.smoothness_chain())
 
 
 def full_report(

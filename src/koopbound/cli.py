@@ -203,12 +203,12 @@ def _apply_overrides(config: trainer.TrainConfig, args) -> trainer.TrainConfig:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"--config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise CliError("--config: expected a JSON object")
         fields = {f.name for f in dataclasses.fields(trainer.TrainConfig)}
         unknown = set(doc) - fields
         if unknown:
             raise CliError(f"--config: unknown fields {sorted(unknown)}")
-        if "reg_layers" in doc:
-            doc["reg_layers"] = tuple(doc["reg_layers"])
         config = dataclasses.replace(config, **doc)
     if args.epochs is not None:
         config = dataclasses.replace(config, epochs=args.epochs)
@@ -227,10 +227,13 @@ def cmd_train(args) -> int:
     diverged = False
     runs = []
     for seed in seeds:
-        config = _apply_overrides(default_train_config(args.task, seed), args)
-        config = dataclasses.replace(config, seed=seed)
         rundir = outdir if len(seeds) == 1 else outdir / f"seed{seed}"
-        run = _run_one(args.task, config, rundir)
+        try:
+            config = _apply_overrides(default_train_config(args.task, seed), args)
+            config = dataclasses.replace(config, seed=seed)
+            run = _run_one(args.task, config, rundir)
+        except trainer.TrainerError as exc:
+            raise CliError(str(exc)) from exc
         runs.append(run)
         diverged = diverged or run.diverged
         status = "diverged" if run.diverged else "ok"

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+from scipy.special import erf
 
 from . import matcore
 
@@ -18,9 +20,38 @@ class ValidationError(Exception):
         self.violations = violations
 
 
+def smooth_leaky_relu(x, alpha: float = 0.5, mu: float = 0.5):
+    """sigma(x) = ((1+a) x + (1-a) x erf(mu (1-a) x)) / 2, elementwise."""
+    x = np.asarray(x, dtype=float)
+    beta = mu * (1.0 - alpha)
+    return 0.5 * ((1.0 + alpha) * x + (1.0 - alpha) * x * erf(beta * x))
+
+
+def smooth_leaky_relu_derivative(x, alpha: float = 0.5, mu: float = 0.5):
+    """Exact derivative via the product rule and (d/du) erf(u) = 2 e^{-u^2}/sqrt(pi)."""
+    x = np.asarray(x, dtype=float)
+    beta = mu * (1.0 - alpha)
+    u = beta * x
+    return 0.5 * (
+        (1.0 + alpha)
+        + (1.0 - alpha) * (erf(u) + x * beta * (2.0 / math.sqrt(math.pi)) * np.exp(-u * u))
+    )
+
+
+# sigma'(x) of the smooth leaky ReLU is extremal at x = +-1/(mu (1 - alpha)),
+# where it equals ((1 + alpha) +- (1 - alpha) * _SLRELU_SWING) / 2, whatever mu.
+_SLRELU_SWING = math.erf(1.0) + 2.0 / (math.e * math.sqrt(math.pi))
+
+
 @dataclass(frozen=True)
 class Identity:
     kind: str = field(default="identity", init=False)
+
+    def value(self, x):
+        return x
+
+    def derivative(self, x):
+        return np.ones_like(x)
 
 
 @dataclass(frozen=True)
@@ -36,6 +67,22 @@ class SmoothLeakyRelu:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (0 < self.mu < np.inf):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
+
+    def value(self, x):
+        return smooth_leaky_relu(x, self.alpha, self.mu)
+
+    def derivative(self, x):
+        return smooth_leaky_relu_derivative(x, self.alpha, self.mu)
+
+    @property
+    def derivative_inf(self) -> float:
+        """inf of sigma', at x = -1/(mu (1-alpha)); below the slope alpha."""
+        return 0.5 * ((1.0 + self.alpha) - (1.0 - self.alpha) * _SLRELU_SWING)
+
+    @property
+    def derivative_sup(self) -> float:
+        """sup of sigma', at x = +1/(mu (1-alpha)); above the slope 1."""
+        return 0.5 * ((1.0 + self.alpha) + (1.0 - self.alpha) * _SLRELU_SWING)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .kernels import kernel_trace_bound, sobolev_kernel
 from .network import GaussianHead, SmoothLeakyRelu
-from .trainer import smooth_leaky_relu
 
 
 class InfeasibleClassError(Exception):
@@ -121,7 +120,7 @@ def evaluate_networks(spec: FunctionClassSpec, params, points: np.ndarray):
     for j, (ws, bs) in enumerate(params):
         z = np.einsum("mij,mnj->mni", ws, z) + bs[:, None, :]
         if j < L - 1:
-            z = smooth_leaky_relu(z, spec.activation.alpha, spec.activation.mu)
+            z = spec.activation.value(z)
     return np.exp(-spec.head.c * np.sum(z * z, axis=2))
 
 

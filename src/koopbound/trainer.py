@@ -3,7 +3,10 @@
 No autodiff framework: the forward pass, backpropagation through the
 smooth leaky-ReLU activation and both heads, and the spectral
 regularizer gradients are all written out explicitly so they can be
-checked coordinate by coordinate against finite differences.
+checked coordinate by coordinate against finite differences.  Backward
+passes run only for optimizer steps; the per-epoch evaluation (training
+loss, generalization gap, test accuracy) is one forward pass over the
+training table and one over the held-out table.
 """
 
 from __future__ import annotations
@@ -13,15 +16,16 @@ import csv
 import ctypes
 import io
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import bounds as bounds_mod
 from . import diagnostics
-from .matcore import RankDeficientError
+from .matcore import NotFiniteError, RankDeficientError
 from .network import (
+    CustomActivation,
     GaussianHead,
     Identity,
     LayerSpec,
@@ -40,44 +44,6 @@ class DivergenceError(TrainerError):
 
 
 # ---------------------------------------------------------------------------
-# activation
-
-
-def smooth_leaky_relu(x, alpha: float = 0.5, mu: float = 0.5):
-    """sigma(x) = ((1+a) x + (1-a) x erf(mu (1-a) x)) / 2, elementwise."""
-    x = np.asarray(x, dtype=float)
-    beta = mu * (1.0 - alpha)
-    return 0.5 * ((1.0 + alpha) * x + (1.0 - alpha) * x * erf(beta * x))
-
-
-def smooth_leaky_relu_derivative(x, alpha: float = 0.5, mu: float = 0.5):
-    """Exact derivative via the product rule and (d/du) erf(u) = 2 e^{-u^2}/sqrt(pi)."""
-    x = np.asarray(x, dtype=float)
-    beta = mu * (1.0 - alpha)
-    u = beta * x
-    return 0.5 * (
-        (1.0 + alpha)
-        + (1.0 - alpha) * (erf(u) + x * beta * (2.0 / math.sqrt(math.pi)) * np.exp(-u * u))
-    )
-
-
-def _act_value(activation, x):
-    if isinstance(activation, Identity):
-        return x
-    if isinstance(activation, SmoothLeakyRelu):
-        return smooth_leaky_relu(x, activation.alpha, activation.mu)
-    raise TrainerError(f"cannot train through activation {activation!r}")
-
-
-def _act_deriv(activation, x):
-    if isinstance(activation, Identity):
-        return np.ones_like(x)
-    if isinstance(activation, SmoothLeakyRelu):
-        return smooth_leaky_relu_derivative(x, activation.alpha, activation.mu)
-    raise TrainerError(f"cannot train through activation {activation!r}")
-
-
-# ---------------------------------------------------------------------------
 # forward / backward
 
 
@@ -88,17 +54,45 @@ def _forward_cache(net: NetworkSpec, X: np.ndarray):
         z = z[None, :]
     pre, post = [], [z]
     for layer in net.layers:
+        if isinstance(layer.activation, CustomActivation):
+            raise TrainerError(f"cannot train through activation {layer.activation!r}")
         a = z @ layer.weight.T + layer.bias
-        z = _act_value(layer.activation, a)
+        z = layer.activation.value(a)
         pre.append(a)
         post.append(z)
     return pre, post
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+def _head_output(head, z: np.ndarray) -> np.ndarray:
+    """Gaussian head: exp(-c ||z||^2) per row.  Softmax head: one probability row per row."""
+    if isinstance(head, GaussianHead):
+        return np.exp(-head.c * np.sum(z * z, axis=1))
+    if isinstance(head, SoftmaxHead):
+        e = np.exp(z - np.max(z, axis=1, keepdims=True))
+        return e / np.sum(e, axis=1, keepdims=True)
+    raise TrainerError(f"head {head!r} has no forward evaluation")
+
+
+# the head each loss is defined for
+_LOSS_HEADS = {"squared": GaussianHead, "cross_entropy": SoftmaxHead}
+
+
+def _check_head_loss(head, head_loss: str) -> None:
+    if not isinstance(head, _LOSS_HEADS.get(head_loss, ())):
+        raise TrainerError(f"head loss {head_loss!r} does not pair with head {head!r}")
+
+
+def _mean_loss(head, head_loss: str, out: np.ndarray, Y) -> float:
+    """Mean loss of head outputs against real targets or integer labels."""
+    _check_head_loss(head, head_loss)
+    if head_loss == "squared":
+        loss = float(np.mean((out - np.asarray(Y, dtype=float).reshape(-1)) ** 2))
+    else:
+        labels = np.asarray(Y, dtype=int).reshape(-1)
+        loss = float(-np.mean(np.log(out[np.arange(labels.shape[0]), labels])))
+    if not math.isfinite(loss):
+        raise DivergenceError("non-finite loss")
+    return loss
 
 
 def forward(net: NetworkSpec, x):
@@ -109,13 +103,7 @@ def forward(net: NetworkSpec, x):
     """
     single = np.asarray(x).ndim == 1
     _, post = _forward_cache(net, x)
-    z = post[-1]
-    if isinstance(net.head, GaussianHead):
-        out = np.exp(-net.head.c * np.sum(z * z, axis=1))
-    elif isinstance(net.head, SoftmaxHead):
-        out = _softmax(z)
-    else:
-        raise TrainerError(f"head {net.head!r} has no forward evaluation")
+    out = _head_output(net.head, post[-1])
     return out[0] if single else out
 
 
@@ -132,47 +120,32 @@ def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str = "squared"):
     n = X.shape[0]
     pre, post = _forward_cache(net, X)
     z_last = post[-1]
+    f = _head_output(net.head, z_last)
+    loss = _mean_loss(net.head, head_loss, f, Y)
     if head_loss == "squared":
-        if not isinstance(net.head, GaussianHead):
-            raise TrainerError("squared loss expects a gaussian head")
         y = np.asarray(Y, dtype=float).reshape(-1)
-        c = net.head.c
-        f = np.exp(-c * np.sum(z_last * z_last, axis=1))
-        loss = float(np.mean((f - y) ** 2))
         # d loss / d z_L = (2/n) (f - y) * f * (-2c) z_L
-        delta = ((2.0 / n) * (f - y) * f * (-2.0 * c))[:, None] * z_last
-    elif head_loss == "cross_entropy":
-        labels = np.asarray(Y, dtype=int).reshape(-1)
-        p = _softmax(z_last)
-        loss = float(-np.mean(np.log(p[np.arange(n), labels])))
-        delta = p.copy()
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
+        delta = ((2.0 / n) * (f - y) * f * (-2.0 * net.head.c))[:, None] * z_last
     else:
-        raise TrainerError(f"unknown head loss {head_loss!r}")
+        delta = f.copy()
+        delta[np.arange(n), np.asarray(Y, dtype=int).reshape(-1)] -= 1.0
+        delta /= n
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * net.depth
     for j in range(net.depth - 1, -1, -1):
         layer = net.layers[j]
-        delta_a = delta * _act_deriv(layer.activation, pre[j])
+        delta_a = delta * layer.activation.derivative(pre[j])
         gw = delta_a.T @ post[j]
         gb = np.sum(delta_a, axis=0)
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise DivergenceError(f"non-finite gradient in layer {j + 1}")
         grads[j] = (gw, gb)
         delta = delta_a @ layer.weight
-    if not math.isfinite(loss):
-        raise DivergenceError("non-finite loss")
     return loss, grads
 
 
 # ---------------------------------------------------------------------------
 # regularizers
-
-
-def _thin_svd(w):
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    return u, s, vt
 
 
 def regularizer_synthetic(net: NetworkSpec, lam: float):
@@ -191,7 +164,7 @@ def regularizer_synthetic(net: NetworkSpec, lam: float):
                 f"layer {j + 1} is wide; use the per-layer regularizer instead",
                 sigma_min=0.0,
             )
-        u, s, vt = _thin_svd(w)
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
         tol = 1e-12 * max(w.shape) * (s[0] if s[0] > 0 else 1.0)
         if s[-1] <= tol:
             raise RankDeficientError(
@@ -219,7 +192,7 @@ def regularizer_synthetic(net: NetworkSpec, lam: float):
 def regularizer_perlayer(w, lam1: float, lam2: float):
     """lam1 ||W|| + lam2 / det(I + W^T W), value and gradient for one matrix."""
     w = np.asarray(w, dtype=float)
-    u, s, vt = _thin_svd(w)
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
     log_det = float(np.sum(np.log1p(s ** 2)))
     det_inv = math.exp(-log_det)
     value = lam1 * float(s[0]) + lam2 * det_inv
@@ -290,16 +263,20 @@ def load_digits(path=None) -> Dataset:
 
 
 def gen_error_estimate(net: NetworkSpec, data: Dataset, head_loss: str = "squared") -> float:
-    """|mean held-out loss - mean training loss|."""
-    train_loss, _ = loss_and_grads(net, data.inputs, data.targets, head_loss)
-    held_loss, _ = loss_and_grads(net, data.held_inputs, data.held_targets, head_loss)
+    """|mean held-out loss - mean training loss|, from one forward pass over each table."""
+    train_loss = _mean_loss(net.head, head_loss, forward(net, data.inputs), data.targets)
+    held_loss = _mean_loss(
+        net.head, head_loss, forward(net, data.held_inputs), data.held_targets
+    )
     return abs(held_loss - train_loss)
 
 
+def _accuracy(probs: np.ndarray, labels) -> float:
+    return float(np.mean(np.argmax(probs, axis=1) == np.asarray(labels, dtype=int)))
+
+
 def classification_accuracy(net: NetworkSpec, X, labels) -> float:
-    probs = forward(net, np.atleast_2d(X))
-    pred = np.argmax(probs, axis=1)
-    return float(np.mean(pred == np.asarray(labels, dtype=int)))
+    return _accuracy(forward(net, np.atleast_2d(X)), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +363,38 @@ class TrainConfig:
     head_loss: str = "squared"
 
     def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate < 0:
-            raise TrainerError("epochs must be >= 1 and learning rate >= 0")
-        if not (0.0 < self.lr_decay <= 1.0):
-            raise TrainerError("lr_decay must be in (0, 1]")
-        if self.lr_decay_start < 1:
-            raise TrainerError("lr_decay_start must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise TrainerError(f"unknown optimizer {self.optimizer!r}")
+        try:
+            self.reg_layers = tuple(self.reg_layers)
+        except TypeError:
+            raise TrainerError("reg_layers must be a list of layer numbers") from None
+        ints = [self.seed, self.epochs, self.lr_decay_start, *self.reg_layers]
+        if self.batch_size is not None:
+            ints.append(self.batch_size)
+        reals = [self.learning_rate, self.lr_decay, self.beta1, self.beta2, self.eps,
+                 self.lam, self.lam1, self.lam2]
+        names = [self.optimizer, self.regularizer, self.head_loss]
+        if not (all(isinstance(v, numbers.Integral) for v in ints)
+                and all(isinstance(v, numbers.Real) for v in reals)
+                and all(isinstance(v, str) for v in names)):
+            raise TrainerError("config field of the wrong type: optimizer, regularizer and "
+                               "head_loss take strings, seed, epochs, lr_decay_start, "
+                               "reg_layers and batch_size integers, the rest numbers")
+        for ok, message in (
+            (self.seed >= 0, "seed must be >= 0"),
+            (self.epochs >= 1, "epochs must be >= 1"),
+            (self.learning_rate >= 0, "learning rate must be >= 0"),
+            (0.0 < self.lr_decay <= 1.0, "lr_decay must be in (0, 1]"),
+            (self.lr_decay_start >= 1, "lr_decay_start must be >= 1"),
+            (self.optimizer in ("sgd", "adam"), f"unknown optimizer {self.optimizer!r}"),
+            (self.regularizer in ("none", "synthetic", "perlayer"),
+             f"unknown regularizer {self.regularizer!r}"),
+            (self.head_loss in _LOSS_HEADS, f"unknown head loss {self.head_loss!r}"),
+            (self.batch_size is None or self.batch_size >= 1,
+             "batch_size must be null (full batch) or >= 1"),
+            (all(idx >= 1 for idx in self.reg_layers), "reg_layers are 1-based"),
+        ):
+            if not ok:
+                raise TrainerError(message)
 
 
 @dataclass
@@ -467,23 +468,16 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
 
-def _apply_regularizer(net: NetworkSpec, config: TrainConfig, grads) -> float:
-    if config.regularizer == "none":
-        return 0.0
+def _apply_regularizer(net: NetworkSpec, config: TrainConfig, grads) -> None:
+    """Add the regularizer's weight gradients to the loss gradients in place."""
     if config.regularizer == "synthetic":
-        value, reg_grads = regularizer_synthetic(net, config.lam)
+        _, reg_grads = regularizer_synthetic(net, config.lam)
         for (gw, _), rg in zip(grads, reg_grads):
             gw += rg
-        return value
-    if config.regularizer == "perlayer":
-        value = 0.0
+    elif config.regularizer == "perlayer":
         for idx in config.reg_layers:
-            layer = net.layers[idx - 1]
-            v, g = regularizer_perlayer(layer.weight, config.lam1, config.lam2)
+            _, g = regularizer_perlayer(net.layers[idx - 1].weight, config.lam1, config.lam2)
             grads[idx - 1][0][:] += g
-            value += v
-        return value
-    raise TrainerError(f"unknown regularizer {config.regularizer!r}")
 
 
 def train(
@@ -495,10 +489,15 @@ def train(
     """Run the optimizer and log metrics, bound totals, and spectra per epoch.
 
     Fully deterministic given config.seed: one generator drives batch
-    shuffling, and the optimizer update order is fixed.  A non-finite
-    loss aborts with a partial run flagged diverged.  Sets the process's
-    malloc thresholds (see _keep_freed_heap).
+    shuffling, and the optimizer update order is fixed.  Each epoch is
+    evaluated from one forward pass over the training inputs and one over
+    the held-out inputs.  A non-finite loss or gradient, or weights whose
+    bound report overflows, abort with a partial run flagged diverged.
+    Sets the process's malloc thresholds (see _keep_freed_heap).
     """
+    _check_head_loss(net0.head, config.head_loss)
+    if config.regularizer == "perlayer" and max(config.reg_layers, default=0) > net0.depth:
+        raise TrainerError(f"reg_layers {config.reg_layers} exceed the depth {net0.depth}")
     _keep_freed_heap()
     net = copy.deepcopy(net0)
     rng = np.random.default_rng(config.seed)
@@ -520,8 +519,8 @@ def train(
 
     def step(batch_x, batch_y):
         nonlocal adam_t
-        loss, grads = loss_and_grads(net, batch_x, batch_y, config.head_loss)
-        loss += _apply_regularizer(net, config, grads)
+        _, grads = loss_and_grads(net, batch_x, batch_y, config.head_loss)
+        _apply_regularizer(net, config, grads)
         if config.optimizer == "sgd":
             for layer, (gw, gb) in zip(net.layers, grads):
                 layer.weight -= lr * gw
@@ -540,7 +539,6 @@ def train(
                     v *= config.beta2
                     v += (1.0 - config.beta2) * grad * grad
                     param -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
-        return loss
 
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate * config.lr_decay ** max(
@@ -554,24 +552,20 @@ def train(
                 for start in range(0, n, config.batch_size):
                     idx = order[start : start + config.batch_size]
                     step(dataset.inputs[idx], dataset.targets[idx])
-            train_loss, _ = loss_and_grads(
-                net, dataset.inputs, dataset.targets, config.head_loss
-            )
-            gen_error = gen_error_estimate(net, dataset, config.head_loss)
-        except DivergenceError:
+            train_out = forward(net, dataset.inputs)
+            held_out = forward(net, dataset.held_inputs)
+            train_loss = _mean_loss(net.head, config.head_loss, train_out, dataset.targets)
+            held_loss = _mean_loss(net.head, config.head_loss, held_out, dataset.held_targets)
+            report = bounds_mod.full_report(net, constants)
+        except (DivergenceError, OverflowError, NotFiniteError):
             diverged = True
             break
-        report = bounds_mod.full_report(net, constants)
-        test_acc = (
-            classification_accuracy(net, dataset.held_inputs, dataset.held_targets)
-            if classification
-            else None
-        )
+        test_acc = _accuracy(held_out, dataset.held_targets) if classification else None
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
                 train_loss=train_loss,
-                gen_error=gen_error,
+                gen_error=abs(held_loss - train_loss),
                 matrix_factor=report.matrix_factor,
                 bound_totals=dict(report.totals),
                 test_accuracy=test_acc,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopbound import bounds as bm
-from koopbound import diagnostics, matcore, trainer
+from koopbound import diagnostics, matcore, network, trainer
 from koopbound.bounds import (
     BoundConstants,
     BoundReport,
@@ -187,7 +187,7 @@ class TestActivationBound:
     def test_bound_from_sampled_derivative(self, alpha, mu):
         # oracle: the derivative sampled densely around its extremes
         x = np.linspace(-3.0, 3.0, 600_001) / (mu * (1.0 - alpha))
-        deriv = trainer.smooth_leaky_relu_derivative(x, alpha, mu)
+        deriv = network.smooth_leaky_relu_derivative(x, alpha, mu)
         sampled = (1.0 / deriv.min()) ** 3 * max(1.0, deriv.max())
         val = activation_opnorm_bound(SmoothLeakyRelu(alpha=alpha, mu=mu), 3)
         assert val >= sampled * (1 - 1e-12)

@@ -216,6 +216,28 @@ class TestTrainCommand:
         assert code == cli.EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("task,doc", [
+        ("synthetic", {"optimizer": "foo"}),
+        ("synthetic", {"head_loss": "hinge"}),
+        ("synthetic", {"regularizer": "l2"}),
+        ("synthetic", {"batch_size": 0}),
+        ("synthetic", {"batch_size": -4}),
+        ("synthetic", {"epochs": "3"}),
+        ("synthetic", {"head_loss": "cross_entropy"}),
+        ("digits", {"reg_layers": [5]}),
+        ("synthetic", 5),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, task, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run_cli(
+            "train", "--task", task, "--config", str(cfg),
+            "--outdir", str(tmp_path / "run"),
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
     def test_divergence_exit_code_with_artifacts(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 import oracles
+from koopbound import trainer as trainer_mod
 from koopbound.matcore import RankDeficientError
-from koopbound.network import GaussianHead, SmoothLeakyRelu, SoftmaxHead
+from koopbound.network import (
+    CustomActivation,
+    GaussianHead,
+    SmoothLeakyRelu,
+    SoftmaxHead,
+    smooth_leaky_relu,
+    smooth_leaky_relu_derivative,
+)
 from koopbound.trainer import (
     Dataset,
     TrainConfig,
@@ -22,8 +30,6 @@ from koopbound.trainer import (
     make_synthetic,
     regularizer_perlayer,
     regularizer_synthetic,
-    smooth_leaky_relu,
-    smooth_leaky_relu_derivative,
     synthetic_target,
     train,
 )
@@ -134,6 +140,21 @@ class TestLossGradients:
         net = build_network([3, 3, 6], GaussianHead(), seed=0)
         with pytest.raises(TrainerError):
             loss_and_grads(net, np.empty((0, 3)), np.empty(0))
+
+    def test_cross_entropy_needs_softmax_head(self):
+        net = build_network([3, 3, 6], GaussianHead(), seed=0)
+        with pytest.raises(TrainerError):
+            loss_and_grads(net, np.ones((2, 3)), np.array([0, 1]), "cross_entropy")
+        with pytest.raises(TrainerError):
+            train(TrainConfig(epochs=1, head_loss="cross_entropy"), make_synthetic(20, seed=0), net)
+
+    def test_custom_activation_not_trainable(self):
+        net = build_network([3, 3, 6], GaussianHead(), seed=0)
+        net.layers[0].activation = CustomActivation(
+            "aff", derivative_sup=2.0, inverse_jacobian_sup=3.0
+        )
+        with pytest.raises(TrainerError):
+            loss_and_grads(net, np.ones((2, 3)), np.array([0.5, 0.5]))
 
     def test_mismatched_head_rejected(self):
         net = build_network([3, 4, 2], SoftmaxHead(), seed=0)
@@ -298,6 +319,29 @@ class TestConfigValidation:
         with pytest.raises(TrainerError):
             TrainConfig(lr_decay_start=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("head_loss", "hinge"),
+        ("regularizer", "l2"),
+        ("batch_size", 0),
+        ("batch_size", -4),
+        ("batch_size", 2.5),
+        ("reg_layers", (0, 1)),
+        ("reg_layers", 5),
+        ("epochs", "3"),
+        ("lam", "x"),
+        ("optimizer", ["sgd"]),
+        ("learning_rate", float("nan")),
+        ("seed", -1),
+    ])
+    def test_malformed_field_rejected(self, field, value):
+        with pytest.raises(TrainerError):
+            TrainConfig(**{field: value})
+
+    def test_reg_layers_beyond_depth_rejected_before_training(self):
+        cfg = TrainConfig(epochs=1, regularizer="perlayer", reg_layers=(1, 3))
+        with pytest.raises(TrainerError):
+            train(cfg, make_synthetic(20, seed=0), build_network([3, 3, 6], GaussianHead(), seed=0))
+
 
 def _small_run(**overrides):
     kwargs = dict(epochs=5, learning_rate=0.05, regularizer="synthetic", lam=0.01)
@@ -374,3 +418,47 @@ class TestTrainLoop:
         net = build_network([64, 16, 10], SoftmaxHead(), seed=0)
         acc = classification_accuracy(net, ds.held_inputs, ds.held_targets)
         assert 0.0 <= acc <= 1.0
+
+
+class TestEpochEvaluation:
+    @pytest.mark.parametrize("batch_size,steps", [(100, 10), (None, 1)])
+    def test_one_backward_pass_per_optimizer_step(self, monkeypatch, batch_size, steps):
+        calls = []
+        real = trainer_mod.loss_and_grads
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "loss_and_grads", counting)
+        cfg = TrainConfig(epochs=2, learning_rate=0.05, regularizer="synthetic",
+                          batch_size=batch_size)
+        run = train(cfg, make_synthetic(1000, seed=0),
+                    build_network([3, 3, 6], GaussianHead(), seed=0))
+        assert len(run.metrics) == 2
+        assert len(calls) == 2 * steps
+
+    @pytest.mark.parametrize("classify", [False, True])
+    def test_last_row_equals_public_evaluations(self, classify):
+        if classify:
+            rng = np.random.default_rng(4)
+            data = Dataset(rng.random((120, 8)), rng.integers(0, 4, 120),
+                           rng.random((60, 8)), rng.integers(0, 4, 60))
+            net = build_network([8, 12, 4], SoftmaxHead(), seed=2)
+            cfg = TrainConfig(epochs=3, learning_rate=0.01, optimizer="adam",
+                              regularizer="perlayer", reg_layers=(1,), batch_size=32,
+                              head_loss="cross_entropy")
+        else:
+            data = make_synthetic(200, seed=1)
+            net = build_network([3, 3, 6], GaussianHead(), seed=1)
+            cfg = TrainConfig(epochs=3, regularizer="synthetic", batch_size=50)
+        run = train(cfg, data, net, classification=classify)
+        last = run.metrics[-1]
+        loss, _ = loss_and_grads(run.net, data.inputs, data.targets, cfg.head_loss)
+        assert last.train_loss == loss
+        assert last.gen_error == gen_error_estimate(run.net, data, cfg.head_loss)
+        if classify:
+            acc = classification_accuracy(run.net, data.held_inputs, data.held_targets)
+            assert last.test_accuracy == acc
+        else:
+            assert last.test_accuracy is None
