@@ -62,6 +62,13 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
 
 
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise CliError(f"--seeds: expected comma-separated integers, got {text!r}") from exc
+
+
 def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
     """Report with default constants; invalid constants become usage errors."""
     try:
@@ -219,9 +226,7 @@ def _apply_overrides(config: trainer.TrainConfig, args) -> trainer.TrainConfig:
 
 def cmd_train(args) -> int:
     outdir = Path(args.outdir)
-    seeds = (
-        [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
-    )
+    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
     if args.epochs is not None and args.epochs <= 0:
         raise CliError("--epochs must be positive")
     diverged = False

@@ -61,10 +61,32 @@ class FunctionClassSpec:
 REJECTION_CAP = 100_000
 
 
+def _sigma1_and_volume(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_1 and the volume det(W^T W)^(1/2) of each matrix of a stack.
+
+    The volume is |det W| for square W.  Needs rows >= cols.
+    """
+    if ws.shape[2] != 2:
+        s = np.linalg.svd(ws, compute_uv=False)
+        return s[:, 0], np.prod(s, axis=1)
+    # Cauchy-Binet: vol^2 is the sum of the squared 2x2 minors, and
+    # sigma_1^2 is the larger root of t^2 - ||W||_F^2 t + vol^2
+    a, b = ws[:, :, 0], ws[:, :, 1]
+    i, j = np.triu_indices(ws.shape[1], 1)
+    vol_sq = np.sum((a[:, i] * b[:, j] - a[:, j] * b[:, i]) ** 2, axis=1)
+    fro_sq = np.sum(a * a + b * b, axis=1)
+    gap = np.sqrt(np.maximum(fro_sq * fro_sq - 4.0 * vol_sq, 0.0))
+    return np.sqrt(0.5 * (fro_sq + gap)), np.sqrt(vol_sq)
+
+
 def _sample_weights(
     rng: np.random.Generator, rows: int, cols: int, C: float, D: float, count: int
 ) -> np.ndarray:
-    """Rejection sampling: Gaussian, projected to the norm ball, det filtered."""
+    """Rejection sampling: Gaussian, projected to the norm ball, volume filtered.
+
+    sigma_1 and the volume come from a closed form for two columns and
+    from one batched SVD (sigma_1 = s_0, volume = prod s) otherwise.
+    """
     accepted = []
     attempts = 0
     need = count
@@ -76,15 +98,10 @@ def _sample_weights(
                 f"constraint (C={C}, D={D}) rejected {REJECTION_CAP} samples"
             )
         ws = rng.standard_normal((batch, rows, cols))
-        sigma1 = np.linalg.norm(ws, ord=2, axis=(1, 2))
+        sigma1, vol = _sigma1_and_volume(ws)
         scale = np.minimum(1.0, C / sigma1)
         ws *= scale[:, None, None]
-        if rows == cols:
-            dets = np.abs(np.linalg.det(ws))
-        else:
-            grams = np.einsum("bij,bik->bjk", ws, ws)
-            dets = np.sqrt(np.abs(np.linalg.det(grams)))
-        good = ws[dets >= D]
+        good = ws[vol * scale ** cols >= D]
         if good.shape[0] > 0:
             accepted.append(good[:need])
             need -= min(need, good.shape[0])
@@ -114,11 +131,11 @@ def sample_networks(
 
 def evaluate_networks(spec: FunctionClassSpec, params, points: np.ndarray):
     """Stacked forward pass: (count, n) matrix of head outputs."""
-    x = np.asarray(points, dtype=float)
-    z = np.broadcast_to(x, (params[0][0].shape[0],) + x.shape)
+    z = np.asarray(points, dtype=float)
     L = len(params)
     for j, (ws, bs) in enumerate(params):
-        z = np.einsum("mij,mnj->mni", ws, z) + bs[:, None, :]
+        z = z @ ws.transpose(0, 2, 1)
+        z += bs[:, None, :]
         if j < L - 1:
             z = spec.activation.value(z)
     return np.exp(-spec.head.c * np.sum(z * z, axis=2))

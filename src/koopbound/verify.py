@@ -8,6 +8,7 @@ estimates) and returns a machine-readable verdict.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -242,5 +243,11 @@ SUITES = {
 
 
 def run_suites(names: list[str]) -> dict:
-    verdicts = [SUITES[name]() for name in names]
+    """Run the named suites; each verdict gains its wall time as elapsed_s."""
+    verdicts = []
+    for name in names:
+        t0 = time.perf_counter()
+        verdict = SUITES[name]()
+        verdict["elapsed_s"] = time.perf_counter() - t0
+        verdicts.append(verdict)
     return {"passed": all(v["passed"] for v in verdicts), "suites": verdicts}

@@ -121,3 +121,35 @@ def gram_schmidt_projector(columns) -> np.ndarray:
         return np.zeros((cols.shape[0], cols.shape[0]))
     q = np.stack(basis, axis=1)
     return q @ q.T
+
+
+def sample_networks_lapack(spec, rng, count, cap: int = 100_000):
+    """The MC sampler's draws with the LAPACK filter: norm(ord=2), then det.
+
+    Same RNG stream as the library (Gaussian batches of max(4 need, 64),
+    then a uniform bias per candidate and layer); sigma_1 comes from
+    np.linalg.norm and the volume from det W (square) or det(W^T W)^(1/2).
+    """
+    params = []
+    for cols, rows in zip(spec.widths, spec.widths[1:]):
+        accepted, attempts, need = [], 0, count
+        while need > 0:
+            batch = max(4 * need, 64)
+            attempts += batch
+            if attempts > cap:
+                raise RuntimeError("rejection cap reached")
+            ws = rng.standard_normal((batch, rows, cols))
+            sigma1 = np.linalg.norm(ws, ord=2, axis=(1, 2))
+            ws *= np.minimum(1.0, spec.C / sigma1)[:, None, None]
+            if rows == cols:
+                vols = np.abs(np.linalg.det(ws))
+            else:
+                vols = np.sqrt(np.abs(np.linalg.det(np.einsum("bij,bik->bjk", ws, ws))))
+            good = ws[vols >= spec.D]
+            accepted.append(good[:need])
+            need -= min(need, good.shape[0])
+        g = rng.standard_normal((count, rows))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        r = spec.bias_bound * rng.random(count) ** (1.0 / rows)
+        params.append((np.concatenate(accepted, axis=0), g * r[:, None]))
+    return params

@@ -238,6 +238,16 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("seeds", ["a,b", "1,,2", "1.5"])
+    def test_malformed_seeds_is_usage_error(self, tmp_path, capsys, seeds):
+        code = run_cli(
+            "train", "--task", "synthetic", "--seeds", seeds,
+            "--outdir", str(tmp_path / "run"),
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --seeds")
+        assert not (tmp_path / "run").exists()
+
     def test_divergence_exit_code_with_artifacts(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
+from koopbound import rademacher
 from koopbound.kernels import kernel_trace_bound, sobolev_kernel
 from koopbound.rademacher import (
     FunctionClassSpec,
@@ -75,6 +77,77 @@ class TestSampling:
         vals = evaluate_networks(spec, params, rng.standard_normal((6, 2)))
         assert vals.shape == (20, 6)
         assert np.all(vals > 0) and np.all(vals <= 1)
+
+
+class TestSigma1AndVolume:
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (5, 2), (3, 3)])
+    def test_matches_svd(self, shape):
+        ws = np.random.default_rng(sum(shape)).standard_normal((64,) + shape)
+        sigma1, vol = rademacher._sigma1_and_volume(ws)
+        s = np.linalg.svd(ws, compute_uv=False)
+        np.testing.assert_allclose(sigma1, s[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(vol, np.prod(s, axis=1), rtol=1e-12, atol=0)
+
+    def test_orthogonal(self):
+        for w in ([[0.0, 1.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]):
+            sigma1, vol = rademacher._sigma1_and_volume(np.array([w]))
+            assert sigma1[0] == 1.0 and vol[0] == 1.0
+
+    def test_rank_one(self):
+        w = np.outer([1.0, -2.0, 3.0], [2.0, 0.5])
+        sigma1, vol = rademacher._sigma1_and_volume(w[None])
+        assert vol[0] == 0.0
+        assert sigma1[0] == pytest.approx(np.linalg.svd(w, compute_uv=False)[0], rel=1e-12)
+
+    def test_two_columns_without_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called for a 2-column layer")
+
+        for name in ("svd", "det", "norm"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for rows in (2, 3, 5):
+            ws = rademacher._sample_weights(np.random.default_rng(rows), rows, 2, 1.5, 0.5, 40)
+            assert ws.shape == (40, rows, 2)
+
+
+class TestSameStream:
+    """The sampler keeps the RNG stream and the class of the LAPACK filter."""
+
+    @pytest.mark.parametrize("widths,constraint", [
+        ((2, 2, 2), "inv"), ((2, 3), "inj"), ((3, 3), "inv"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_draws_as_lapack_filter(self, widths, constraint, seed):
+        spec = FunctionClassSpec(widths=widths, constraint=constraint, C=1.5, D=0.5)
+        got = sample_networks(spec, np.random.default_rng(seed), 200)
+        want = oracles.sample_networks_lapack(spec, np.random.default_rng(seed), 200)
+        assert len(got) == len(want)
+        for (ws, bs), (ws_ref, bs_ref) in zip(got, want):
+            assert ws.shape == ws_ref.shape and bs.shape == bs_ref.shape
+            np.testing.assert_allclose(ws, ws_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(bs, bs_ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("widths,constraint", [
+        ((2, 2), "inv"), ((2, 2, 2), "inv"), ((2, 3, 4), "inj"),
+    ])
+    def test_evaluate_matches_per_candidate_loop(self, widths, constraint):
+        spec = FunctionClassSpec(widths=widths, constraint=constraint, C=1.5, D=0.5)
+        rng = np.random.default_rng(11)
+        params = sample_networks(spec, rng, 25)
+        pts = rng.standard_normal((7, widths[0]))
+        got = evaluate_networks(spec, params, pts)
+        act = spec.activation
+        want = [
+            [
+                oracles.forward_reference(
+                    [ws[k] for ws, _ in params], [bs[k] for _, bs in params],
+                    act.alpha, act.mu, x, spec.head.c,
+                )
+                for x in pts
+            ]
+            for k in range(25)
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestEstimators:

@@ -47,3 +47,9 @@ class TestRunSuites:
         for suite in result["suites"]:
             for check in suite["checks"]:
                 assert set(check) == {"name", "passed", "detail"}
+
+    def test_each_suite_reports_elapsed_time(self):
+        result = run_suites(["kernels", "lemma1"])
+        for suite in result["suites"]:
+            assert isinstance(suite["elapsed_s"], float)
+            assert suite["elapsed_s"] >= 0.0
