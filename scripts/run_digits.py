@@ -18,11 +18,10 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from koopbound.cli import main as cli_main  # noqa: E402
+from koopbound.matcore import LayerSpectrum  # noqa: E402
 from koopbound.weightio import load_weights  # noqa: E402
 
 
@@ -30,8 +29,8 @@ def final_q(weightfile: Path) -> float:
     net = load_weights(weightfile)
     log_q = 0.0
     for layer in net.layers[:2]:
-        s = np.linalg.svd(layer.weight, compute_uv=False)
-        log_q += math.log(s[0]) - 0.25 * float(np.sum(np.log1p(s**2)))
+        spec = LayerSpectrum.of(layer.weight)
+        log_q += math.log(spec.op_norm) - spec.lifted_logdet / 4
     return math.exp(log_q)
 
 

@@ -16,10 +16,11 @@ Koopman prefix of length l with a Frobenius-product peeling tail
 verbatim for comparison.
 
 Each of these factors depends on W only through its singular values, so
-a layer's spectrum is computed once (`LayerSpectrum`) and every factor is
-a function of it; a variant's total is the log prefactor plus the sum of
-its per-layer log factors.  The activation constant ||K_sigma|| comes from
-the closed-form extremes of the activation's derivative.
+a layer's spectrum is computed once (`matcore.LayerSpectrum`) and every
+factor is a function of it; a variant's total is the log prefactor plus
+the sum of its per-layer log factors.  The activation constant
+||K_sigma|| comes from the closed-form extremes of the activation's
+derivative.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ import numpy as np
 
 from . import matcore
 from .kernels import gaussian_head_norm, kernel_trace_bound
-from .matcore import (  # gram_logdet, operator_norm, restricted_det: re-exported
+from .matcore import (  # gram_logdet, LayerSpectrum, operator_norm, restricted_det: re-exported
     InvalidParameterError,
-    RankDeficientError,
-    ShapeError,
+    LayerSpectrum,
     gram_logdet,
     operator_norm,
     pq_norm,
@@ -96,67 +96,7 @@ class BoundConstants:
 
 
 # ---------------------------------------------------------------------------
-# one spectrum per layer
-
-
-@dataclass(frozen=True)
-class LayerSpectrum:
-    """A weight matrix's singular values and the bound quantities derived from them.
-
-    Built by `LayerSpectrum.of` from one SVD.  The rank cutoff `tol` is
-    matcore's relative tolerance; `restricted_*` use the weighted bound's
-    absolute tolerance, as matcore.restricted_det does.
-    """
-
-    rows: int
-    cols: int
-    sigma: np.ndarray  # min(rows, cols) singular values, descending, read-only
-    tol: float
-    rank: int  # singular values above tol
-    gram_logdet: float | None  # log det(W^T W); None when wide or rank deficient
-    lifted_logdet: float  # log det(I + W^T W)
-    restricted_logdet: float  # log of the product of singular values above weighted_tol
-    restricted_rank: int
-    op_norm: float
-    fro_norm: float
-
-    @classmethod
-    def of(cls, w, weighted_tol: float = 1e-8) -> "LayerSpectrum":
-        if weighted_tol <= 0:
-            raise InvalidParameterError(
-                f"weighted bound needs tol > 0, got {weighted_tol}"
-            )
-        a = matcore.as_matrix(w)
-        rows, cols = a.shape
-        s = matcore.singular_values(a)
-        s.setflags(write=False)
-        tol = matcore.rank_tolerance(float(s[0]), rows, cols)
-        rank = int(np.sum(s > tol))
-        kept = s[s > weighted_tol]
-        return cls(
-            rows=rows,
-            cols=cols,
-            sigma=s,
-            tol=tol,
-            rank=rank,
-            gram_logdet=float(2.0 * np.sum(np.log(s))) if rank == cols else None,
-            lifted_logdet=float(np.sum(np.log1p(s ** 2))),
-            restricted_logdet=float(np.sum(np.log(kept))),
-            restricted_rank=int(kept.size),
-            op_norm=float(s[0]),
-            fro_norm=pq_norm(a, 2, 2),
-        )
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.sigma[-1])
-
-    @property
-    def condition_number(self) -> float:
-        """sigma_1 / sigma_min, +inf for a singular matrix (as matcore.condition_number)."""
-        if self.sigma_min == 0.0:
-            return math.inf
-        return self.op_norm / self.sigma_min
+# one spectrum per layer (matcore.LayerSpectrum)
 
 
 def _spectrum(layer) -> LayerSpectrum:
@@ -185,15 +125,13 @@ def density_ratio_bound(layer, s_prev: float) -> float:
 class GridSpec:
     """Sampling grid for the density-ratio supremum over the range of W.
 
-    Directions always include every left singular vector of the matrix;
-    extra unit directions may be supplied and are projected onto the
-    range.  Radii are log-spaced up to max_radius, with 0 included.
+    The directions are the left singular vectors of the matrix that span
+    its range.  Radii are log-spaced up to max_radius, with 0 included.
     """
 
     num_radii: int = 200
     min_radius: float = 1e-3
     max_radius: float = 1e6
-    extra_directions: tuple[tuple[float, ...], ...] = ()
 
     def radii(self) -> np.ndarray:
         if self.num_radii < 1:
@@ -228,13 +166,6 @@ def density_ratio_grid_sup(
         for i in range(len(dec.singular_values))
         if dec.singular_values[i] > tol
     ]
-    if dirs:
-        basis = np.stack(dirs, axis=1)
-        for extra in grid.extra_directions:
-            v = basis @ (basis.T @ np.asarray(extra, dtype=float))
-            norm = np.linalg.norm(v)
-            if norm > 0:
-                dirs.append(v / norm)
     best = 1.0  # omega = 0 is always in the grid and gives ratio 1
     radii = grid.radii()
     for u in dirs:
@@ -250,20 +181,11 @@ def koopman_layer_factor(layer, s_prev: float) -> float:
     """max{1, ||W||^s_prev} / det(W^T W)^(1/4); equals 1 for orthogonal W.
 
     Raises ShapeError for a wide layer and RankDeficientError for a
-    rank-deficient one, as matcore.gram_logdet does.
+    rank-deficient one (LayerSpectrum.require_gram_logdet).
     """
     spec = _spectrum(layer)
-    if spec.gram_logdet is None:
-        if spec.cols > spec.rows:
-            raise ShapeError(
-                f"gram_logdet needs cols <= rows, got {spec.rows}x{spec.cols}"
-            )
-        raise RankDeficientError(
-            f"matrix is numerically rank deficient (sigma_min={spec.sigma_min:.3e}, "
-            f"tolerance={spec.tol:.3e})",
-            sigma_min=spec.sigma_min,
-        )
-    return math.sqrt(density_ratio_bound(spec, s_prev)) / math.exp(spec.gram_logdet / 4.0)
+    logdet = spec.require_gram_logdet()
+    return math.sqrt(density_ratio_bound(spec, s_prev)) / math.exp(logdet / 4.0)
 
 
 def _graph_layer_factor(spec: LayerSpectrum, s_prev: float) -> float:
@@ -285,8 +207,8 @@ def g_factor_gaussian(w, c_gauss: float) -> float:
     """
     if c_gauss <= 0:
         raise InvalidParameterError(f"c_gauss must be positive, got {c_gauss}")
-    a = matcore.as_matrix(w)
-    k = a.shape[0] - matcore.numeric_rank(a)
+    spec = _spectrum(w)
+    k = spec.rows - spec.rank
     return (2.0 * c_gauss / math.pi) ** (k / 4.0)
 
 

@@ -84,34 +84,27 @@ def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
 def cmd_inspect(args) -> int:
     net = _load_network(args.weightfile)
     report = _full_report(net, n=1)
+    snaps = diagnostics.snapshot(net, 0, spectra=report.spectra).layers
     header = f"{'layer':>5} {'sigma_max':>12} {'sigma_min':>12} {'cond':>12} {'stable_rank':>12} {'koopman':>12}"
     print(header)
-    rows = []
-    for rec, spec in zip(report.layers, report.spectra):
-        smax = rec.singular_values[0]
-        smin = rec.singular_values[-1]
-        cond = "inf" if math.isinf(rec.condition_number) else f"{rec.condition_number:.6g}"
-        try:
-            srank = diagnostics.stable_rank(spec)
-        except diagnostics.DiagnosticsError:
-            srank = float("nan")
-        if rec.det_factor is None:
+    lines = ["layer,sigma_max,sigma_min,cond,stable_rank,koopman_factor"]
+    for j, (snap, spec) in enumerate(zip(snaps, report.spectra), start=1):
+        smax, smin, srank = snap.singular_values[0], snap.singular_values[-1], snap.stable_rank
+        cond = "inf" if math.isinf(snap.condition_number) else f"{snap.condition_number:.6g}"
+        if snap.layer_factor is None:
             koop_txt = "n/a"
-            why = "wide" if rec.rows < rec.cols else "rank deficient"
+            why = "wide" if spec.rows < spec.cols else "rank deficient"
             note = f"  ({why}: invertible/injective variants inapplicable)"
         else:
             # the pure matrix factor, without the activation norm
-            koop_txt = f"{math.sqrt(rec.density_ratio_bound) / rec.det_factor:.6g}"
+            koop_txt = f"{snap.layer_factor:.6g}"
             note = ""
         print(
-            f"{rec.index:>5} {smax:>12.6g} {smin:>12.6g} {cond:>12} "
+            f"{j:>5} {smax:>12.6g} {smin:>12.6g} {cond:>12} "
             f"{srank:>12.6g} {koop_txt:>12}{note}"
         )
-        rows.append((rec.index, smax, smin, cond, srank, koop_txt))
+        lines.append(f"{j},{smax!r},{smin!r},{cond},{srank!r},{koop_txt}")
     if args.csv:
-        lines = ["layer,sigma_max,sigma_min,cond,stable_rank,koopman_factor"]
-        for idx, smax, smin, cond, srank, koop_txt in rows:
-            lines.append(f"{idx},{smax!r},{smin!r},{cond},{srank!r},{koop_txt}")
         Path(args.csv).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .bounds import LayerSpectrum, koopman_layer_factor
-from .matcore import RankDeficientError, ShapeError
+from .bounds import koopman_layer_factor
+from .matcore import LayerSpectrum, RankDeficientError, ShapeError
 from .network import NetworkSpec
 
 
@@ -40,7 +40,7 @@ def layer_spectrum(w) -> np.ndarray:
 def stable_rank(w) -> float:
     """||W||_F^2 / ||W||^2, a soft rank proxy in [1, min(rows, cols)].
 
-    w is a matrix or its bounds.LayerSpectrum.
+    w is a matrix or its matcore.LayerSpectrum.
     """
     s = w.sigma if isinstance(w, LayerSpectrum) else matcore.singular_values(w)
     top = float(s[0])

@@ -119,7 +119,7 @@ def singular_values(m) -> np.ndarray:
 
 def operator_norm(m) -> float:
     """Largest singular value."""
-    return float(singular_values(m)[0])
+    return LayerSpectrum.of(m).op_norm
 
 
 def rank_tolerance(sigma_max: float, rows: int, cols: int) -> float:
@@ -128,9 +128,8 @@ def rank_tolerance(sigma_max: float, rows: int, cols: int) -> float:
 
 
 def numeric_rank(m) -> int:
-    s = singular_values(m)
-    tol = rank_tolerance(float(s[0]), *as_matrix(m).shape)
-    return int(np.sum(s > tol))
+    """Count of singular values above rank_tolerance."""
+    return LayerSpectrum.of(m).rank
 
 
 def pq_norm(m, p: float, q: float) -> float:
@@ -151,22 +150,7 @@ def gram_logdet(m) -> float:
     Computed entirely in log space so deep products of factors never
     overflow or underflow.
     """
-    a = as_matrix(m)
-    rows, cols = a.shape
-    if cols > rows:
-        raise ShapeError(
-            f"gram_logdet needs cols <= rows, got {rows}x{cols}"
-        )
-    s = np.linalg.svd(a, compute_uv=False)
-    tol = rank_tolerance(float(s[0]), rows, cols)
-    sigma_min = float(s[-1])
-    if sigma_min <= tol:
-        raise RankDeficientError(
-            f"matrix is numerically rank deficient (sigma_min={sigma_min:.3e}, "
-            f"tolerance={tol:.3e})",
-            sigma_min=sigma_min,
-        )
-    return float(2.0 * np.sum(np.log(s)))
+    return LayerSpectrum.of(m).require_gram_logdet()
 
 
 def restricted_det(m, tol: float) -> tuple[float, int]:
@@ -175,15 +159,8 @@ def restricted_det(m, tol: float) -> tuple[float, int]:
     This is the determinant of M restricted to the orthogonal complement
     of its kernel.  The empty product (zero matrix) is 1.
     """
-    if tol <= 0:
-        raise InvalidParameterError(f"restricted_det needs tol > 0, got {tol}")
-    s = singular_values(m)
-    kept = s[s > tol]
-    rank = int(kept.size)
-    if rank == 0:
-        return 1.0, 0
-    value = float(math.exp(np.sum(np.log(kept))))
-    return value, rank
+    spec = LayerSpectrum.of(m, tol)
+    return math.exp(spec.restricted_logdet), spec.restricted_rank
 
 
 def condition_number(m) -> float:
@@ -192,8 +169,78 @@ def condition_number(m) -> float:
     Returns +inf for singular matrices instead of raising: diagnostics
     must be able to log degenerate training epochs.
     """
-    s = singular_values(m)
-    smin = float(s[-1])
-    if smin == 0.0:
-        return math.inf
-    return float(s[0]) / smin
+    return LayerSpectrum.of(m).condition_number
+
+
+@dataclass(frozen=True)
+class LayerSpectrum:
+    """A weight matrix's singular values and every quantity derived from them.
+
+    Built by `LayerSpectrum.of` from one SVD; the helpers above, the
+    bounds and the diagnostics all read their rank, determinants, norms
+    and condition number from it.  The rank cutoff `tol` is the relative
+    `rank_tolerance`; `restricted_*` keep the singular values above the
+    absolute `weighted_tol` instead.
+    """
+
+    rows: int
+    cols: int
+    sigma: np.ndarray  # min(rows, cols) singular values, descending, read-only
+    tol: float
+    rank: int  # singular values above tol
+    gram_logdet: float | None  # log det(W^T W); None when wide or rank deficient
+    lifted_logdet: float  # log det(I + W^T W)
+    restricted_logdet: float  # log of the product of singular values above weighted_tol
+    restricted_rank: int
+    op_norm: float
+    fro_norm: float
+
+    @classmethod
+    def of(cls, w, weighted_tol: float = 1e-8) -> "LayerSpectrum":
+        if weighted_tol <= 0:
+            raise InvalidParameterError(
+                f"restricted determinant needs tol > 0, got {weighted_tol}"
+            )
+        a = as_matrix(w)
+        rows, cols = a.shape
+        s = singular_values(a)
+        s.setflags(write=False)
+        tol = rank_tolerance(float(s[0]), rows, cols)
+        rank = int(np.sum(s > tol))
+        kept = s[s > weighted_tol]
+        return cls(
+            rows=rows,
+            cols=cols,
+            sigma=s,
+            tol=tol,
+            rank=rank,
+            gram_logdet=float(2.0 * np.sum(np.log(s))) if rank == cols else None,
+            lifted_logdet=float(np.sum(np.log1p(s ** 2))),
+            restricted_logdet=float(np.sum(np.log(kept))),
+            restricted_rank=int(kept.size),
+            op_norm=float(s[0]),
+            fro_norm=pq_norm(a, 2, 2),
+        )
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.sigma[-1])
+
+    @property
+    def condition_number(self) -> float:
+        """sigma_1 / sigma_min, +inf for a singular matrix."""
+        if self.sigma_min == 0.0:
+            return math.inf
+        return self.op_norm / self.sigma_min
+
+    def require_gram_logdet(self) -> float:
+        """gram_logdet, or the ShapeError (wide) or RankDeficientError that says why not."""
+        if self.gram_logdet is not None:
+            return self.gram_logdet
+        if self.cols > self.rows:
+            raise ShapeError(f"gram_logdet needs cols <= rows, got {self.rows}x{self.cols}")
+        raise RankDeficientError(
+            f"matrix is numerically rank deficient (sigma_min={self.sigma_min:.3e}, "
+            f"tolerance={self.tol:.3e})",
+            sigma_min=self.sigma_min,
+        )

@@ -491,13 +491,19 @@ def train(
     Fully deterministic given config.seed: one generator drives batch
     shuffling, and the optimizer update order is fixed.  Each epoch is
     evaluated from one forward pass over the training inputs and one over
-    the held-out inputs.  A non-finite loss or gradient, or weights whose
-    bound report overflows, abort with a partial run flagged diverged.
+    the held-out inputs.  A non-finite loss or gradient, a layer that goes
+    singular under the synthetic regularizer, or weights whose bound report
+    overflows, abort with a partial run flagged diverged.  The synthetic
+    regularizer rejects a wide layer before epoch 1.
     Sets the process's malloc thresholds (see _keep_freed_heap).
     """
     _check_head_loss(net0.head, config.head_loss)
     if config.regularizer == "perlayer" and max(config.reg_layers, default=0) > net0.depth:
         raise TrainerError(f"reg_layers {config.reg_layers} exceed the depth {net0.depth}")
+    if config.regularizer == "synthetic":
+        for j, layer in enumerate(net0.layers, start=1):
+            if layer.out_dim < layer.in_dim:
+                raise TrainerError(f"layer {j} is wide; use the per-layer regularizer instead")
     _keep_freed_heap()
     net = copy.deepcopy(net0)
     rng = np.random.default_rng(config.seed)
@@ -557,7 +563,7 @@ def train(
             train_loss = _mean_loss(net.head, config.head_loss, train_out, dataset.targets)
             held_loss = _mean_loss(net.head, config.head_loss, held_out, dataset.held_targets)
             report = bounds_mod.full_report(net, constants)
-        except (DivergenceError, OverflowError, NotFiniteError):
+        except (DivergenceError, OverflowError, NotFiniteError, RankDeficientError):
             diverged = True
             break
         test_acc = _accuracy(held_out, dataset.held_targets) if classification else None

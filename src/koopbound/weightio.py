@@ -21,6 +21,7 @@ values.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,55 +44,27 @@ class WeightFileError(Exception):
     pass
 
 
-def _activation_to_json(act) -> dict:
-    if isinstance(act, Identity):
-        return {"kind": "identity", "params": {}}
-    if isinstance(act, SmoothLeakyRelu):
-        return {"kind": "smooth_leaky_relu", "params": {"alpha": act.alpha, "mu": act.mu}}
-    if isinstance(act, CustomActivation):
-        return {
-            "kind": "custom",
-            "params": {
-                "name": act.name,
-                "derivative_sup": act.derivative_sup,
-                "inverse_jacobian_sup": act.inverse_jacobian_sup,
-            },
-        }
-    raise WeightFileError(f"unserializable activation {act!r}")
+# the serializable activations and heads, by their `kind`
+_ACTIVATIONS = {cls.kind: cls for cls in (Identity, SmoothLeakyRelu, CustomActivation)}
+_HEADS = {cls.kind: cls for cls in (GaussianHead, SoftmaxHead, CustomHead)}
 
 
-def _activation_from_json(doc: dict):
+def _spec_to_json(obj, registry: dict, what: str) -> dict:
+    """{kind, params}, the params being the object's init fields in field order."""
+    cls = registry.get(getattr(obj, "kind", None))
+    if cls is None or not isinstance(obj, cls):
+        raise WeightFileError(f"unserializable {what} {obj!r}")
+    return {
+        "kind": cls.kind,
+        "params": {f.name: getattr(obj, f.name) for f in fields(cls) if f.init},
+    }
+
+
+def _spec_from_json(doc: dict, registry: dict, what: str):
     kind = doc.get("kind")
-    params = doc.get("params", {})
-    if kind == "identity":
-        return Identity()
-    if kind == "smooth_leaky_relu":
-        return SmoothLeakyRelu(**params)
-    if kind == "custom":
-        return CustomActivation(**params)
-    raise WeightFileError(f"unknown activation kind {kind!r}")
-
-
-def _head_to_json(head) -> dict:
-    if isinstance(head, GaussianHead):
-        return {"kind": "gaussian", "params": {"c": head.c}}
-    if isinstance(head, SoftmaxHead):
-        return {"kind": "softmax", "params": {"h_norm": head.h_norm}}
-    if isinstance(head, CustomHead):
-        return {"kind": "custom", "params": {"name": head.name, "h_norm": head.h_norm}}
-    raise WeightFileError(f"unserializable head {head!r}")
-
-
-def _head_from_json(doc: dict):
-    kind = doc.get("kind")
-    params = doc.get("params", {})
-    if kind == "gaussian":
-        return GaussianHead(**params)
-    if kind == "softmax":
-        return SoftmaxHead(**params)
-    if kind == "custom":
-        return CustomHead(**params)
-    raise WeightFileError(f"unknown head kind {kind!r}")
+    if kind not in registry:
+        raise WeightFileError(f"unknown {what} kind {kind!r}")
+    return registry[kind](**doc.get("params", {}))
 
 
 def network_to_json_dict(net: NetworkSpec) -> dict:
@@ -105,12 +78,12 @@ def network_to_json_dict(net: NetworkSpec) -> dict:
                 "cols": layer.in_dim,
                 "weights": [float(x) for x in layer.weight.reshape(-1)],
                 "bias": [float(x) for x in layer.bias],
-                "activation": _activation_to_json(layer.activation),
+                "activation": _spec_to_json(layer.activation, _ACTIVATIONS, "activation"),
                 "s": layer.s_out,
             }
             for j, layer in enumerate(net.layers)
         ],
-        "head": _head_to_json(net.head),
+        "head": _spec_to_json(net.head, _HEADS, "head"),
     }
 
 
@@ -129,7 +102,7 @@ def _layer_from_json(j: int, rec) -> LayerSpec:
         return LayerSpec(
             weight=weights.reshape(rows, cols),
             bias=np.asarray(rec["bias"], dtype=np.float64),
-            activation=_activation_from_json(rec["activation"]),
+            activation=_spec_from_json(rec["activation"], _ACTIVATIONS, "activation"),
             s_out=float(rec["s"]),
         )
     except KeyError as exc:
@@ -151,7 +124,7 @@ def network_from_json_dict(doc: dict) -> NetworkSpec:
     if not layers:
         raise WeightFileError("weight file has no layers")
     try:
-        head = _head_from_json(doc.get("head", {}))
+        head = _spec_from_json(doc.get("head", {}), _HEADS, "head")
         s_in = float(doc["s_in"])
     except KeyError as exc:
         raise WeightFileError(f"missing field {exc}") from exc

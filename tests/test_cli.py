@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from koopbound import bounds, cli, weightio
+from koopbound import bounds, cli, trainer, weightio
+from koopbound.matcore import RankDeficientError
 from koopbound.network import GaussianHead, SmoothLeakyRelu, SoftmaxHead
 from koopbound.trainer import build_network
 
@@ -226,6 +227,7 @@ class TestTrainCommand:
         ("synthetic", {"head_loss": "cross_entropy"}),
         ("digits", {"reg_layers": [5]}),
         ("synthetic", 5),
+        ("digits", {"regularizer": "synthetic"}),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, task, doc):
         cfg = tmp_path / "cfg.json"
@@ -264,6 +266,24 @@ class TestTrainCommand:
         assert code == cli.EXIT_DIVERGED
         assert (tmp_path / "run" / "weights.json").exists()
         capsys.readouterr()
+
+    def test_rank_collapse_exit_code_with_artifacts(self, tmp_path, capsys, monkeypatch):
+        real = trainer.regularizer_synthetic
+        calls = []
+
+        def collapsing(net, lam):
+            calls.append(1)
+            if len(calls) > 15:  # 10 steps per epoch: mid epoch 2
+                raise RankDeficientError("layer 1 is numerically singular", sigma_min=0.0)
+            return real(net, lam)
+
+        monkeypatch.setattr(trainer, "regularizer_synthetic", collapsing)
+        out = tmp_path / "run"
+        code = run_cli("train", "--task", "synthetic", "--epochs", "4", "--outdir", str(out))
+        assert code == cli.EXIT_DIVERGED
+        assert "1 epochs, diverged" in capsys.readouterr().out
+        assert len((out / "metrics.csv").read_text().splitlines()) == 2
+        assert (out / "weights.json").exists() and (out / "spectrum.csv").exists()
 
     def test_no_regularizer_flag_changes_result(self, tmp_path, capsys):
         base, noreg = tmp_path / "base", tmp_path / "noreg"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,3 +190,41 @@ class TestConditionNumber:
 
     def test_diag(self):
         assert condition_number(np.diag([4.0, 2.0])) == pytest.approx(2.0)
+
+
+class TestHelpersReadLayerSpectrum:
+    # rank_tolerance(1, 2, 2) = 2e-8 decides the rank of diag(1, x)
+    MATRICES = {
+        "square": np.random.default_rng(9).standard_normal((4, 4)),
+        "tall": np.random.default_rng(10).standard_normal((5, 3)),
+        "wide": np.random.default_rng(11).standard_normal((2, 4)),
+        "zero": np.zeros((3, 3)),
+        "just_above_tolerance": np.diag([1.0, 3e-8]),
+        "just_below_tolerance": np.diag([1.0, 1.5e-8]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_helpers_equal_spectrum_fields(self, name):
+        m = self.MATRICES[name]
+        spec = matcore.LayerSpectrum.of(m)
+        assert numeric_rank(m) == spec.rank
+        assert condition_number(m) == spec.condition_number
+        assert operator_norm(m) == spec.op_norm
+        assert pq_norm(m, 2, 2) == spec.fro_norm
+        assert restricted_det(m, 1e-8) == (
+            math.exp(spec.restricted_logdet), spec.restricted_rank
+        )
+        if spec.gram_logdet is None:
+            with pytest.raises((ShapeError, RankDeficientError)) as err:
+                gram_logdet(m)
+            with pytest.raises(type(err.value), match=re.escape(str(err.value))):
+                spec.require_gram_logdet()
+        else:
+            assert gram_logdet(m) == spec.gram_logdet == spec.require_gram_logdet()
+
+    def test_tolerance_edges(self):
+        above = matcore.LayerSpectrum.of(self.MATRICES["just_above_tolerance"])
+        below = matcore.LayerSpectrum.of(self.MATRICES["just_below_tolerance"])
+        assert above.tol == below.tol == rank_tolerance(1.0, 2, 2)
+        assert (above.rank, below.rank) == (2, 1)
+        assert below.restricted_rank == 2  # above the absolute 1e-8 cutoff

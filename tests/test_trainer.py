@@ -343,6 +343,39 @@ class TestConfigValidation:
             train(cfg, make_synthetic(20, seed=0), build_network([3, 3, 6], GaussianHead(), seed=0))
 
 
+class TestRankCollapse:
+    def test_wide_layer_rejected_before_training(self):
+        cfg = TrainConfig(epochs=1, regularizer="synthetic")
+        with pytest.raises(TrainerError, match="layer 1 is wide"):
+            train(cfg, make_synthetic(20, seed=0), build_network([3, 2, 6], GaussianHead(), seed=0))
+
+    def test_singular_layer_ends_as_divergence(self):
+        net = build_network([3, 3, 6], GaussianHead(), seed=0)
+        net.layers[0].weight[:] = np.outer([1.0, 2.0, 0.5], [1.0, 0.0, 1.0])
+        cfg = TrainConfig(epochs=3, regularizer="synthetic", batch_size=100)
+        run = train(cfg, make_synthetic(200, seed=0), net)
+        assert run.diverged
+        assert run.metrics == [] and run.spectrum.epochs == []
+
+    def test_collapse_mid_run_keeps_earlier_epochs(self, monkeypatch):
+        calls = []
+        real = trainer_mod.regularizer_synthetic
+
+        def collapsing(net, lam):
+            calls.append(1)
+            if len(calls) > 25:  # 10 steps per epoch: mid epoch 3
+                raise RankDeficientError("layer 1 is numerically singular", sigma_min=0.0)
+            return real(net, lam)
+
+        monkeypatch.setattr(trainer_mod, "regularizer_synthetic", collapsing)
+        cfg = TrainConfig(epochs=5, regularizer="synthetic", batch_size=100)
+        run = train(cfg, make_synthetic(1000, seed=0),
+                    build_network([3, 3, 6], GaussianHead(), seed=0))
+        assert run.diverged
+        assert [m.epoch for m in run.metrics] == [1, 2]
+        assert [rec.epoch for rec in run.spectrum.epochs] == [1, 2]
+
+
 def _small_run(**overrides):
     kwargs = dict(epochs=5, learning_rate=0.05, regularizer="synthetic", lam=0.01)
     kwargs.update(overrides)

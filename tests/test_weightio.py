@@ -144,6 +144,21 @@ class TestErrors:
         with pytest.raises(WeightFileError, match="relu6"):
             network_from_json_dict(doc)
 
+    # a head and an activation share the kind "custom", so each is tried in the other slot
+    @pytest.mark.parametrize("part,obj", [
+        ("activation", object()),
+        ("activation", CustomHead("h")),
+        ("head", object()),
+        ("head", CustomActivation("a", 1.0, 1.0)),
+    ], ids=["activation_object", "head_as_activation", "head_object", "activation_as_head"])
+    def test_unregistered_object_not_saved(self, net, tmp_path, part, obj):
+        if part == "activation":
+            net.layers[0].activation = obj
+        else:
+            net.head = obj
+        with pytest.raises(WeightFileError, match=f"unserializable {part}"):
+            save_weights(net, tmp_path / "w.json")
+
     def test_structural_validation_on_load(self, net, tmp_path):
         # a dimension mismatch between layers is caught at load time
         doc = network_to_json_dict(net)
