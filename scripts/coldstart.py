@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Time the cold start of the one-shot koopbound commands.
+
+    python scripts/coldstart.py [--runs N]
+
+Writes a digits-shape weight file (64-128-128-10, softmax head) to a
+temporary directory, then times N fresh processes of each of
+
+    python -c "import koopbound.cli"
+    koopbound bound FILE --n 1500
+    koopbound inspect FILE
+
+run from this checkout's `src` (as `python -m koopbound.cli`), taking
+the three commands in turn so that host noise spreads over all of them.
+Prints the median and quartiles of each command's wall time in ms as
+JSON, with the CPU count, the Python, numpy and scipy versions, the BLAS
+build and the thread variables.  Nothing is written into the checkout.
+This is a record, not a gate: the times depend on the host and its load.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+
+from child import environment  # noqa: E402  (the benchmark's environment record)
+
+
+def _write_weights(path: Path) -> None:
+    from koopbound import trainer, weightio
+    from koopbound.network import SoftmaxHead
+
+    net = trainer.build_network(
+        [64, 128, 128, 10], SoftmaxHead(), seed=0,
+        init=["orthogonal", "orthogonal", "truncated_normal"],
+    )
+    weightio.save_weights(net, path)
+
+
+def _time_ms(argv: list[str], env: dict) -> float:
+    t0 = time.perf_counter()
+    subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+    return 1e3 * (time.perf_counter() - t0)
+
+
+def run(runs: int) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        weights = Path(tmp) / "weights.json"
+        _write_weights(weights)
+        cli = [sys.executable, "-m", "koopbound.cli"]
+        commands = {
+            "import": [sys.executable, "-c", "import koopbound.cli"],
+            "bound": cli + ["bound", str(weights), "--n", "1500"],
+            "inspect": cli + ["inspect", str(weights)],
+        }
+        samples = {name: [] for name in commands}
+        for _ in range(runs):
+            for name, argv in commands.items():
+                samples[name].append(_time_ms(argv, env))
+    result = {"runs": runs}
+    for name, times in samples.items():
+        q1, median, q3 = statistics.quantiles(times, n=4)
+        result[f"{name}_ms"] = {"median": median, "q1": q1, "q3": q3}
+    result["env"] = environment()
+    return result
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--runs", type=int, default=7, help="fresh processes per command")
+    args = ap.parse_args()
+    if args.runs < 2:
+        ap.error("--runs must be at least 2")
+    print(json.dumps(run(args.runs), indent=2))

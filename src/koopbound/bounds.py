@@ -106,7 +106,9 @@ def _spectrum(layer) -> LayerSpectrum:
     return LayerSpectrum.of(layer.weight if isinstance(layer, LayerSpec) else layer)
 
 
-def _spectra(net: NetworkSpec, weighted_tol: float = 1e-8) -> list[LayerSpectrum]:
+def layer_spectra(net: NetworkSpec, weighted_tol: float = 1e-8) -> list[LayerSpectrum]:
+    """One LayerSpectrum per layer: the SVDs a report needs, for callers
+    that pass them to both `default_constants` and `full_report`."""
     return [LayerSpectrum.of(layer.weight, weighted_tol) for layer in net.layers]
 
 
@@ -326,7 +328,7 @@ def _koopman_bound(
     variant: str, net: NetworkSpec, c: BoundConstants, weighted_tol: float = 1e-8
 ) -> float:
     _check_constants(net, c)
-    spectra = _spectra(net, weighted_tol)
+    spectra = layer_spectra(net, weighted_tol)
     return _variant_total(variant, spectra, _factor_table(spectra, net, c), c)
 
 
@@ -390,7 +392,7 @@ def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
     _check_constants(net, c)
     if not (0 <= l <= net.depth):
         raise InvalidParameterError(f"l must be in [0, {net.depth}], got {l}")
-    spectra = _spectra(net)
+    spectra = layer_spectra(net)
     return _combined(spectra, _factor_table(spectra, net, c), c, l)
 
 
@@ -409,7 +411,7 @@ def bound_combined_best(
 ) -> tuple[int, float, list[tuple[int, float | None]]]:
     """Minimize the combined bound over the split point l; ties go to smaller l."""
     _check_constants(net, c)
-    spectra = _spectra(net)
+    spectra = layer_spectra(net)
     return _combined_best(spectra, _factor_table(spectra, net, c), c)
 
 
@@ -434,7 +436,7 @@ def _neyshabur18(spectra: list[LayerSpectrum], n: int) -> float:
 
 
 def bound_neyshabur18(net: NetworkSpec, n: int) -> float:
-    return _neyshabur18(_spectra(net), n)
+    return _neyshabur18(layer_spectra(net), n)
 
 
 def bound_golowich18(net: NetworkSpec, n: int) -> float:
@@ -464,7 +466,7 @@ def bound_bartlett17(
     net: NetworkSpec, n: int, refs: list[np.ndarray] | None = None
 ) -> float:
     """Spectral product times the (2,1)-discrepancy sum from reference matrices."""
-    return _bartlett17(net, _spectra(net), n, refs)
+    return _bartlett17(net, layer_spectra(net), n, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +480,7 @@ def default_constants(
     g_norm: float | None = None,
     sigma_norms: list[float] | None = None,
     g_factors: list[float] | None = None,
+    spectra: list[LayerSpectrum] | None = None,
 ) -> BoundConstants:
     """Fill unspecified constants from the network description.
 
@@ -486,7 +489,9 @@ def default_constants(
     head's user-supplied norm); activation norms from the elementwise
     s=1 formula.  G_j defaults to 1 for full-rank square layers and to
     the Gaussian-head value for the last layer of a Gaussian-head net;
-    other layers get 1 with a "G unnormalized" note.
+    other layers get 1 with a "G unnormalized" note.  The ranks come
+    from `spectra` (see `layer_spectra`) when given, else from an SVD
+    of each square layer.
     """
     notes: list[str] = []
     if B is None:
@@ -508,14 +513,15 @@ def default_constants(
         g_factors = []
         for j, layer in enumerate(net.layers):
             w = layer.weight
+            spec = w if spectra is None else spectra[j]
             square_full_rank = (
                 w.shape[0] == w.shape[1]
-                and matcore.numeric_rank(w) == w.shape[1]
+                and _spectrum(spec).rank == w.shape[1]
             )
             if square_full_rank:
                 g_factors.append(1.0)
             elif j == net.depth - 1 and isinstance(net.head, GaussianHead):
-                g_factors.append(g_factor_gaussian(w, net.head.c))
+                g_factors.append(g_factor_gaussian(spec, net.head.c))
             else:
                 g_factors.append(1.0)
                 notes.append(f"layer {j + 1}: G unnormalized")
@@ -635,7 +641,7 @@ def matrix_factor_product(net: NetworkSpec) -> float:
     training experiments; s is the layer's own smoothness exponent.
     Returns +inf when a layer is rank deficient.
     """
-    return _matrix_factor(_spectra(net), net.smoothness_chain())
+    return _matrix_factor(layer_spectra(net), net.smoothness_chain())
 
 
 def full_report(
@@ -643,16 +649,19 @@ def full_report(
     c: BoundConstants,
     weighted_tol: float = 1e-8,
     bartlett_refs: list[np.ndarray] | None = None,
+    spectra: list[LayerSpectrum] | None = None,
 ) -> BoundReport:
     """Evaluate every variant and competitor; inapplicable ones become markers.
 
     One SVD per layer: every quantity below is read from the layers'
-    spectra, which the report keeps in `spectra`.
+    spectra, which the report keeps in `spectra`.  Pass `spectra` from
+    `layer_spectra(net, weighted_tol)` to reuse records already built.
     """
     net.validate()
     _check_constants(net, c)
     s_chain = net.smoothness_chain()
-    spectra = _spectra(net, weighted_tol)
+    if spectra is None:
+        spectra = layer_spectra(net, weighted_tol)
     table = _factor_table(spectra, net, c)
     totals: dict[str, float] = {}
     inapplicable: dict[str, str] = {}

@@ -70,15 +70,20 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
-    """Report with default constants; invalid constants become usage errors."""
+    """Report with default constants, one SVD per layer; invalid constants
+    and a report too large for float64 become usage errors."""
     try:
-        c = bounds_mod.default_constants(net, n, **constants)
-        return bounds_mod.full_report(net, c)
+        spectra = bounds_mod.layer_spectra(net)
+        c = bounds_mod.default_constants(net, n, spectra=spectra, **constants)
+        return bounds_mod.full_report(net, c, spectra=spectra)
     except (
         ValueError, ValidationError, InvalidParameterError,
         bounds_mod.NotBiLipschitzError,
     ) as exc:
         raise CliError(str(exc)) from exc
+    except (OverflowError, ZeroDivisionError) as exc:
+        # exp of a log factor above ~709, or 1/exp of one below ~-745
+        raise CliError(f"the bound report overflows float64 ({exc})") from exc
 
 
 def cmd_inspect(args) -> int:

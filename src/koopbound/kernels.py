@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 
 class KernelDivergenceError(Exception):
@@ -87,6 +87,8 @@ def gaussian_head_norm(d: int, s: float, c_gauss: float = 1.0) -> float:
     g_hat(omega) = (pi/c)^(d/2) exp(-||omega||^2 / (4c)), so
     ||g||^2 = S_{d-1} * (pi/c)^d * int_0^inf r^(d-1) e^(-r^2/(2c)) (1+r^2)^s dr.
     """
+    from scipy import integrate  # loaded here: softmax-head paths never need it
+
     _check_order(d, s)
     if c_gauss <= 0:
         raise ValueError(f"gaussian width c must be positive, got {c_gauss}")

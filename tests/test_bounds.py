@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopbound import bounds as bm
-from koopbound import diagnostics, matcore, network, trainer
+from koopbound import cli, diagnostics, matcore, network, trainer, weightio
 from koopbound.bounds import (
     BoundConstants,
     BoundReport,
@@ -303,6 +303,24 @@ class TestSvdCount:
             counts.append(len(svd_calls))
         # the second epoch adds only its report and snapshot
         assert counts[1] - counts[0] <= 3
+
+    def test_bound_command_three_svds(self, svd_calls, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        weightio.save_weights(_digits_shape_net(), path)
+        svd_calls.clear()
+        assert cli.main(["bound", str(path), "--n", "1500"]) == 0
+        capsys.readouterr()
+        assert svd_calls == [(128, 64), (128, 128), (10, 128)]
+
+    @pytest.mark.parametrize("head", ["softmax", "gaussian_rank2"])
+    def test_default_constants_reads_given_spectra(self, head):
+        if head == "softmax":
+            net = _digits_shape_net()
+        else:
+            net = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)
+            net.layers[1].weight[:, 2] = net.layers[1].weight[:, 1]
+        spectra = bm.layer_spectra(net)
+        assert default_constants(net, 100, spectra=spectra) == default_constants(net, 100)
 
 
 class TestChooseVariant:

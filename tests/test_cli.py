@@ -1,6 +1,11 @@
 """Command-line surface: exit codes, artifact schemas, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +170,73 @@ class TestInspectCommand:
         weightio.save_weights(net, path)
         assert run_cli("inspect", str(path)) == 0
         assert "rank deficient" in capsys.readouterr().out
+
+
+def _digits_net():
+    return build_network(
+        [64, 128, 128, 10], SoftmaxHead(), seed=0,
+        init=["orthogonal", "orthogonal", "truncated_normal"],
+    )
+
+
+def _cut_to_rank_64(w):
+    # the 64 zeroed singular values come back near 1e-16
+    u, sv, vt = np.linalg.svd(w)
+    sv[64:] = 0.0
+    return (u * sv) @ vt
+
+
+@pytest.mark.parametrize("command", [("bound", "--n", "1500"), ("inspect",)])
+@pytest.mark.parametrize("edit", [_cut_to_rank_64, lambda w: 1e-6 * w], ids=["rank64", "tiny"])
+def test_overflowing_report_exits_2(tmp_path, capsys, command, edit):
+    """A layer-2 factor beyond float64: the spectral product (rank 64) or the
+    full-rank Koopman factor 1/det(W^T W)^(1/4) = e^884 (1e-6 * orthogonal)."""
+    net = _digits_net()
+    net.layers[1].weight = edit(net.layers[1].weight)
+    path = tmp_path / "net.json"
+    weightio.save_weights(net, path)
+    assert run_cli(command[0], str(path), *command[1:]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: the bound report overflows float64")
+    assert "Traceback" not in err
+
+
+SOFTMAX_PATHS_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from koopbound import bounds, cli, trainer
+    from koopbound.network import GaussianHead
+    path, outdir = sys.argv[1:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [
+            cli.main(["bound", path, "--n", "1500"]),
+            cli.main(["inspect", path]),
+            cli.main(["train", "--task", "digits", "--epochs", "1", "--outdir", outdir]),
+        ]
+    loaded = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+              if m in sys.modules]
+    net = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)
+    g_norm = bounds.default_constants(net, 100).g_norm
+    print(json.dumps({"codes": codes, "loaded": loaded, "g_norm": g_norm}))
+""")
+
+
+def test_softmax_commands_do_not_load_quadrature(tmp_path):
+    """bound, inspect and digits training (softmax heads) never import
+    scipy.integrate, nor the optimize and sparse packages it pulls in; a
+    Gaussian head still gets the same quadrature from the lazy import."""
+    path = tmp_path / "net.json"
+    weightio.save_weights(_digits_net(), path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", SOFTMAX_PATHS_SCRIPT, str(path), str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, check=True, timeout=300,
+    )
+    doc = json.loads(proc.stdout)
+    assert doc["codes"] == [0, 0, 0]
+    assert doc["loaded"] == []
+    expected = bounds.default_constants(build_network([3, 3, 6], GaussianHead(), seed=0), 100)
+    assert doc["g_norm"] == expected.g_norm
 
 
 class TestTrainCommand:
