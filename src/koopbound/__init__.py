@@ -6,8 +6,6 @@ from .matcore import (
     InvalidParameterError,
     NotFiniteError,
     RankDeficientError,
-    Svd,
-    svd,
     singular_values,
     operator_norm,
     numeric_rank,
@@ -63,9 +61,7 @@ from .bounds import (
     full_report,
 )
 from .diagnostics import (
-    layer_spectrum,
     stable_rank,
-    alignment_angle,
     SpectrumLog,
     snapshot,
 )

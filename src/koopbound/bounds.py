@@ -159,18 +159,12 @@ def density_ratio_grid_sup(
     if grid is None:
         grid = GridSpec()
     a = matcore.as_matrix(w)
-    dec = matcore.svd(a)
-    tol = matcore.rank_tolerance(
-        float(dec.singular_values[0]) if dec.singular_values.size else 0.0, *a.shape
-    )
-    dirs = [
-        dec.u[:, i]
-        for i in range(len(dec.singular_values))
-        if dec.singular_values[i] > tol
-    ]
+    # the ratio depends on omega only through its norms, so a direction's sign is free
+    u_mat, s, _ = np.linalg.svd(a)
+    tol = matcore.rank_tolerance(float(s[0]), *a.shape)
     best = 1.0  # omega = 0 is always in the grid and gives ratio 1
     radii = grid.radii()
-    for u in dirs:
+    for u in u_mat[:, : s.size][:, s > tol].T:
         omegas = radii[:, None] * u[None, :]
         pulled = omegas @ a  # row i is W^T omega_i
         num = (1.0 + np.sum(pulled ** 2, axis=1)) ** s_prev

@@ -1,7 +1,7 @@
 """Command-line surface: inspect, bound, train, verify.
 
-Exit codes: 0 success, 2 usage or validation error, 3 training
-divergence, 4 verification failure.
+Exit codes: 0 success, 2 usage or validation error or an artifact that
+cannot be written, 3 training divergence, 4 verification failure.
 
 Artifact schemas
 ----------------
@@ -14,7 +14,7 @@ test_accuracy, then one column per bound variant total (sorted name
 order).
 
 Spectrum CSV columns: epoch, layer, sigma_max, sigma_min, cond,
-stable_rank, koopman_factor, alignment, test_metric.
+stable_rank, koopman_factor, test_metric.
 
 Bound CSV: one row per (layer, variant) factor plus per-variant total
 rows; columns layer, variant, factor, sigma_max, sigma_min, cond,
@@ -89,16 +89,16 @@ def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
 def cmd_inspect(args) -> int:
     net = _load_network(args.weightfile)
     report = _full_report(net, n=1)
-    snaps = diagnostics.snapshot(net, 0, spectra=report.spectra).layers
+    snaps = diagnostics.snapshot(report, 0).layers
     header = f"{'layer':>5} {'sigma_max':>12} {'sigma_min':>12} {'cond':>12} {'stable_rank':>12} {'koopman':>12}"
     print(header)
     lines = ["layer,sigma_max,sigma_min,cond,stable_rank,koopman_factor"]
-    for j, (snap, spec) in enumerate(zip(snaps, report.spectra), start=1):
+    for j, (snap, row) in enumerate(zip(snaps, report.layers), start=1):
         smax, smin, srank = snap.singular_values[0], snap.singular_values[-1], snap.stable_rank
         cond = "inf" if math.isinf(snap.condition_number) else f"{snap.condition_number:.6g}"
         if snap.layer_factor is None:
             koop_txt = "n/a"
-            why = "wide" if spec.rows < spec.cols else "rank deficient"
+            why = "wide" if row.rows < row.cols else "rank deficient"
             note = f"  ({why}: invertible/injective variants inapplicable)"
         else:
             # the pure matrix factor, without the activation norm
@@ -183,8 +183,10 @@ def build_task(task: str, seed: int):
 
 def _run_one(task: str, config: trainer.TrainConfig, outdir: Path) -> trainer.TrainRun:
     data, net, classify = build_task(task, config.seed)
-    run = trainer.train(config, data, net, classification=classify)
+    # a bad config leaves no directory behind; a bad outdir fails before training
+    trainer.check_setup(config, net)
     outdir.mkdir(parents=True, exist_ok=True)
+    run = trainer.train(config, data, net, classification=classify)
     (outdir / "metrics.csv").write_text(run.metrics_csv())
     weightio.save_weights(run.net, outdir / "weights.json")
     (outdir / "spectrum.csv").write_text(run.spectrum.to_csv())
@@ -317,7 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:
+        # OSError: an artifact path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,8 +1,9 @@
 """Per-layer spectral time series logged during training.
 
 Only scalar summaries are kept per epoch (singular values, condition
-number, stable rank, bound factor, alignment), never the matrices
-themselves, so a long run stays cheap to hold and serialize.
+number, stable rank, Koopman layer factor), never the matrices
+themselves, so a long run stays cheap to hold and serialize.  Each
+record is a projection of the epoch's bound report.
 """
 
 from __future__ import annotations
@@ -15,26 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .bounds import koopman_layer_factor
-from .matcore import LayerSpectrum, RankDeficientError, ShapeError
-from .network import NetworkSpec
+from .bounds import BoundReport
+from .matcore import LayerSpectrum
 
 
 class DiagnosticsError(Exception):
     pass
-
-
-class EmptySubspaceError(DiagnosticsError):
-    pass
-
-
-class UndefinedAngleError(DiagnosticsError):
-    pass
-
-
-def layer_spectrum(w) -> np.ndarray:
-    """Singular values of w, descending."""
-    return matcore.singular_values(w)
 
 
 def stable_rank(w) -> float:
@@ -49,40 +36,6 @@ def stable_rank(w) -> float:
     return float(np.sum(s ** 2)) / top ** 2
 
 
-def alignment_angle(activations, w_next, sv_threshold: float = 0.1) -> float:
-    """|cos| of the worst angle between a batch and a dominant singular subspace.
-
-    The subspace is spanned by the right singular vectors of w_next whose
-    singular values exceed sv_threshold.  Each activation's angle to its
-    orthogonal projection is computed; the maximum angle over the batch
-    is taken, then |cos|.  Zero-norm activations are skipped.
-    """
-    acts = np.atleast_2d(np.asarray(activations, dtype=float))
-    dec = matcore.svd(w_next)
-    keep = dec.singular_values > sv_threshold
-    if not np.any(keep):
-        raise EmptySubspaceError(
-            f"no singular values exceed threshold {sv_threshold}"
-        )
-    basis = dec.v[:, : len(dec.singular_values)][:, keep]  # orthonormal columns
-    if acts.shape[1] != basis.shape[0]:
-        raise ShapeError(
-            f"activation dimension {acts.shape[1]} does not match "
-            f"{basis.shape[0]} columns of the next weight matrix"
-        )
-    worst = None
-    for a in acts:
-        norm = np.linalg.norm(a)
-        if norm == 0.0:
-            continue
-        cos = float(np.linalg.norm(basis.T @ a) / norm)
-        angle = math.acos(min(1.0, max(-1.0, cos)))
-        worst = angle if worst is None else max(worst, angle)
-    if worst is None:
-        raise UndefinedAngleError("all activations have zero norm")
-    return abs(math.cos(worst))
-
-
 @dataclass
 class LayerSnapshot:
     singular_values: list[float]
@@ -95,7 +48,6 @@ class LayerSnapshot:
 class EpochRecord:
     epoch: int
     layers: list[LayerSnapshot]
-    alignment: float | None = None
     test_metric: float | None = None
 
 
@@ -117,7 +69,7 @@ class SpectrumLog:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
             ["epoch", "layer", "sigma_max", "sigma_min", "cond", "stable_rank",
-             "koopman_factor", "alignment", "test_metric"]
+             "koopman_factor", "test_metric"]
         )
         for rec in self.epochs:
             for j, snap in enumerate(rec.layers, start=1):
@@ -132,46 +84,34 @@ class SpectrumLog:
                         repr(snap.stable_rank),
                         "nan" if snap.layer_factor is None
                         else repr(snap.layer_factor),
-                        "" if rec.alignment is None else repr(rec.alignment),
                         "" if rec.test_metric is None else repr(rec.test_metric),
                     ]
                 )
         return buf.getvalue()
 
 
-def snapshot(
-    net: NetworkSpec,
-    epoch: int,
-    alignment: float | None = None,
-    test_metric: float | None = None,
-    spectra: list[LayerSpectrum] | None = None,
-) -> EpochRecord:
-    """Summarize the current weights into one epoch record.
+def snapshot(report: BoundReport, epoch: int, test_metric: float | None = None) -> EpochRecord:
+    """Project a bound report of the current weights onto one epoch record.
 
-    spectra, one per layer of the current weights (as kept by
-    bounds.full_report), saves recomputing them.
+    Reads the report's layer rows and the spectra it was computed from
+    (a report read back from JSON has none); runs no SVD.
     """
-    s_chain = net.smoothness_chain()
-    if spectra is None:
-        spectra = [LayerSpectrum.of(layer.weight) for layer in net.layers]
     snaps = []
-    for j, spec in enumerate(spectra):
-        try:
-            factor = koopman_layer_factor(spec, s_chain[j])
-        except (RankDeficientError, ShapeError):
-            factor = None
+    for row, spec in zip(report.layers, report.spectra, strict=True):
         try:
             srank = stable_rank(spec)
         except DiagnosticsError:
             srank = float("nan")
         snaps.append(
             LayerSnapshot(
-                singular_values=[float(x) for x in spec.sigma],
-                condition_number=spec.condition_number,
+                singular_values=list(row.singular_values),
+                condition_number=row.condition_number,
                 stable_rank=srank,
-                layer_factor=factor,
+                # koopman_layer_factor, from the quantities the row already holds
+                layer_factor=(
+                    None if row.det_factor is None
+                    else math.sqrt(row.density_ratio_bound) / row.det_factor
+                ),
             )
         )
-    return EpochRecord(
-        epoch=epoch, layers=snaps, alignment=alignment, test_metric=test_metric
-    )
+    return EpochRecord(epoch=epoch, layers=snaps, test_metric=test_metric)

@@ -1,10 +1,9 @@
 """Dense real linear algebra on weight matrices.
 
-Everything downstream (bound evaluation, diagnostics, regularizer
-gradients) goes through this module, so the conventions here are load
-bearing: determinants are always assembled from singular values in log
-space, and the SVD carries a fixed sign convention so repeated runs are
-reproducible bit for bit.
+The bound variants, the diagnostics and the CLI read every per-layer
+spectral quantity from this module, so its conventions are load
+bearing: each quantity comes from a matrix's singular values alone,
+and determinants are always assembled from them in log space.
 """
 
 from __future__ import annotations
@@ -59,62 +58,15 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Svd:
-    """Full SVD M = U diag(s) V^T with U rows x rows and V cols x cols."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        m, n = self.u.shape[0], self.v.shape[0]
-        sigma = np.zeros((m, n))
-        k = len(self.singular_values)
-        sigma[:k, :k] = np.diag(self.singular_values)
-        return self.u @ sigma @ self.v.T
-
-
-def _fix_column_sign(col: np.ndarray) -> float:
-    """Sign making the first nonzero entry of col positive (1.0 for zero col)."""
-    for x in col:
-        if abs(x) > 1e-12:
-            return 1.0 if x > 0 else -1.0
-    return 1.0
-
-
-def svd(m) -> Svd:
-    """Full SVD with a deterministic sign convention.
-
-    The first nonzero entry of every left singular vector is made
-    positive; paired right singular vectors are flipped along with it so
-    the reconstruction is unchanged.  Columns of U (and V) beyond
-    min(rows, cols) span null spaces and are sign-fixed independently.
-    """
+def singular_values(m) -> np.ndarray:
+    """Singular values of m, descending; the module's one SVD entry point."""
     a = as_matrix(m)
-    rows, cols = a.shape
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(
-            f"SVD failed to converge for a {rows}x{cols} matrix"
+            f"SVD failed to converge for a {a.shape[0]}x{a.shape[1]} matrix"
         ) from exc
-    v = vt.T
-    k = min(rows, cols)
-    for i in range(k):
-        sign = _fix_column_sign(u[:, i])
-        u[:, i] *= sign
-        v[:, i] *= sign
-    for i in range(k, rows):
-        u[:, i] *= _fix_column_sign(u[:, i])
-    for i in range(k, cols):
-        v[:, i] *= _fix_column_sign(v[:, i])
-    return Svd(u=u, singular_values=s, v=v)
-
-
-def singular_values(m) -> np.ndarray:
-    a = as_matrix(m)
-    return np.linalg.svd(a, compute_uv=False)
 
 
 def operator_norm(m) -> float:

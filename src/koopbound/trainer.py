@@ -480,6 +480,17 @@ def _apply_regularizer(net: NetworkSpec, config: TrainConfig, grads) -> None:
             grads[idx - 1][0][:] += g
 
 
+def check_setup(config: TrainConfig, net: NetworkSpec) -> None:
+    """The TrainerError that `train` would raise before epoch 1, if any."""
+    _check_head_loss(net.head, config.head_loss)
+    if config.regularizer == "perlayer" and max(config.reg_layers, default=0) > net.depth:
+        raise TrainerError(f"reg_layers {config.reg_layers} exceed the depth {net.depth}")
+    if config.regularizer == "synthetic":
+        for j, layer in enumerate(net.layers, start=1):
+            if layer.out_dim < layer.in_dim:
+                raise TrainerError(f"layer {j} is wide; use the per-layer regularizer instead")
+
+
 def train(
     config: TrainConfig,
     dataset: Dataset,
@@ -497,13 +508,7 @@ def train(
     regularizer rejects a wide layer before epoch 1.
     Sets the process's malloc thresholds (see _keep_freed_heap).
     """
-    _check_head_loss(net0.head, config.head_loss)
-    if config.regularizer == "perlayer" and max(config.reg_layers, default=0) > net0.depth:
-        raise TrainerError(f"reg_layers {config.reg_layers} exceed the depth {net0.depth}")
-    if config.regularizer == "synthetic":
-        for j, layer in enumerate(net0.layers, start=1):
-            if layer.out_dim < layer.in_dim:
-                raise TrainerError(f"layer {j} is wide; use the per-layer regularizer instead")
+    check_setup(config, net0)
     _keep_freed_heap()
     net = copy.deepcopy(net0)
     rng = np.random.default_rng(config.seed)
@@ -577,11 +582,7 @@ def train(
                 test_accuracy=test_acc,
             )
         )
-        spectrum.append(
-            diagnostics.snapshot(
-                net, epoch, test_metric=test_acc, spectra=report.spectra
-            )
-        )
+        spectrum.append(diagnostics.snapshot(report, epoch, test_metric=test_acc))
 
     return TrainRun(
         config=config, metrics=metrics, net=net, spectrum=spectrum,

@@ -201,6 +201,34 @@ def test_overflowing_report_exits_2(tmp_path, capsys, command, edit):
     assert "Traceback" not in err
 
 
+UNWRITABLE_OUTPUTS = {
+    "bound": ("bound", "{weights}", "--n", "10", "--output", "{blocked}/report.json"),
+    "inspect": ("inspect", "{weights}", "--csv", "{blocked}/table.csv"),
+    "verify": ("verify", "--suite", "kernels", "--json", "{blocked}/verdict.json"),
+    # an outdir that is an existing file
+    "train": ("train", "--task", "synthetic", "--epochs", "1", "--outdir", "{blocked}"),
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS.keys())
+def test_unwritable_artifact_exits_2(weightfile, tmp_path, capsys, monkeypatch, argv):
+    """An output path under a regular file cannot be written; train finds
+    out before it trains."""
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file, not a directory\n")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking --outdir")
+
+    monkeypatch.setattr(trainer, "train", no_training)
+    monkeypatch.setattr(cli.verify, "run_suites", lambda names: {"passed": True, "suites": []})
+    argv = [a.format(weights=weightfile, blocked=blocked) for a in argv]
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocked) in err
+    assert "Traceback" not in err
+
+
 SOFTMAX_PATHS_SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
     from koopbound import bounds, cli, trainer
@@ -365,6 +393,16 @@ class TestTrainCommand:
                 "--no-regularizer", "--outdir", str(noreg))
         assert (base / "weights.json").read_bytes() != (noreg / "weights.json").read_bytes()
         capsys.readouterr()
+
+
+def test_spectrum_csv_header_matches_documented_columns(tmp_path, capsys):
+    doc = cli.__doc__.split("Spectrum CSV columns:")[1].split(".\n")[0]
+    documented = [name.strip() for name in doc.split(",")]
+    assert run_cli("train", "--task", "synthetic", "--epochs", "1",
+                   "--outdir", str(tmp_path)) == 0
+    header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
+    assert header.split(",") == documented
+    capsys.readouterr()
 
 
 class TestVerifyCommand:

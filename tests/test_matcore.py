@@ -12,6 +12,7 @@ from koopbound.matcore import (
     NotFiniteError,
     RankDeficientError,
     ShapeError,
+    SvdConvergenceError,
     condition_number,
     gram_logdet,
     numeric_rank,
@@ -20,7 +21,6 @@ from koopbound.matcore import (
     rank_tolerance,
     restricted_det,
     singular_values,
-    svd,
 )
 
 import oracles
@@ -44,38 +44,23 @@ class TestAsMatrix:
             matcore.as_matrix([[math.inf, 0.0], [0.0, 1.0]])
 
 
-class TestSvd:
-    def test_reconstruction(self):
-        rng = np.random.default_rng(0)
-        for rows, cols in [(3, 3), (5, 2), (2, 5), (1, 4)]:
-            m = random_matrix(rng, rows, cols)
-            fac = svd(m)
-            assert np.allclose(fac.reconstruct(), m, atol=1e-12)
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            m = random_matrix(rng, 4, 3)
-            fac = svd(m)
-            for i in range(fac.u.shape[1]):
-                col = fac.u[:, i]
-                nonzero = col[np.abs(col) > 1e-12]
-                if nonzero.size:
-                    assert nonzero[0] > 0
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(2)
-        m = random_matrix(rng, 4, 4)
-        a, b = svd(m), svd(m.copy())
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.v, b.v)
-
+class TestSingularValues:
     def test_matches_charpoly_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             m = random_matrix(rng, 4, 4)
             ref = oracles.singular_values_via_charpoly(m)
             assert np.allclose(singular_values(m), ref, rtol=1e-8)
+
+    def test_non_convergence_is_named(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(SvdConvergenceError, match="3x2 matrix"):
+            singular_values(np.ones((3, 2)))
+        with pytest.raises(SvdConvergenceError):
+            matcore.LayerSpectrum.of(np.eye(2))
 
 
 class TestOperatorNorm:
