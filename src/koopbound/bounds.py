@@ -17,10 +17,15 @@ verbatim for comparison.
 
 Each of these factors depends on W only through its singular values, so
 a layer's spectrum is computed once (`matcore.LayerSpectrum`) and every
-factor is a function of it; a variant's total is the log prefactor plus
-the sum of its per-layer log factors.  The activation constant
-||K_sigma|| comes from the closed-form extremes of the activation's
-derivative.
+factor is a function of it.  `_factor_table` is the one definition of the
+four per-layer factors, and it holds their natural logs, read from the
+spectrum's log-determinants: ||W||^s and det(W^T W)^(1/4) each grow like
+sigma^width, and only their ratio is formed, so a (scaled-)orthogonal
+layer contributes log 1 = 0 whatever its width.  A variant's total is
+exp(log prefactor + sum of its per-layer logs), exponentiated once; the
+report's per-layer factors are the exponentials of the table's entries.
+The activation constant ||K_sigma|| comes from the closed-form extremes
+of the activation's derivative.
 """
 
 from __future__ import annotations
@@ -116,11 +121,24 @@ def layer_spectra(net: NetworkSpec, weighted_tol: float = 1e-8) -> list[LayerSpe
 # per-layer ingredients; `layer` is a LayerSpectrum, a LayerSpec or a weight matrix
 
 
-def density_ratio_bound(layer, s_prev: float) -> float:
-    """Closed-form bound on sup p(omega) / p(W^T omega): max{1, ||W||^(2s)}."""
+def _log_norm_power(spec: LayerSpectrum, s_prev: float) -> float:
+    """log max{1, ||W||^s_prev}, for s_prev > 0."""
     if s_prev <= 0:
         raise InvalidParameterError(f"s_prev must be positive, got {s_prev}")
-    return max(1.0, _spectrum(layer).op_norm ** (2.0 * s_prev))
+    return s_prev * math.log(spec.op_norm) if spec.op_norm > 1.0 else 0.0
+
+
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or +inf beyond float64: for report fields that are not factors."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def density_ratio_bound(layer, s_prev: float) -> float:
+    """Closed-form max{1, ||W||^(2s)} >= sup p(omega) / p(W^T omega); +inf beyond float64."""
+    return _exp_or_inf(2.0 * _log_norm_power(_spectrum(layer), s_prev))
 
 
 @dataclass(frozen=True)
@@ -150,11 +168,9 @@ def density_ratio_grid_sup(
     Serves as the independent verification oracle showing the closed form
     of density_ratio_bound really is an upper bound.
     """
-    if s_prev <= 0:
-        raise InvalidParameterError(f"s_prev must be positive, got {s_prev}")
-    if s_cur < s_prev:
+    if not 0 < s_prev <= s_cur:
         raise InvalidParameterError(
-            f"grid supremum needs s_cur >= s_prev, got {s_cur} < {s_prev}"
+            f"grid supremum needs 0 < s_prev <= s_cur, got {s_prev}, {s_cur}"
         )
     if grid is None:
         grid = GridSpec()
@@ -176,23 +192,14 @@ def density_ratio_grid_sup(
 def koopman_layer_factor(layer, s_prev: float) -> float:
     """max{1, ||W||^s_prev} / det(W^T W)^(1/4); equals 1 for orthogonal W.
 
-    Raises ShapeError for a wide layer and RankDeficientError for a
-    rank-deficient one (LayerSpectrum.require_gram_logdet).
+    The constants-free injective entry of `_factor_table`.  Raises
+    ShapeError for a wide layer and RankDeficientError for a
+    rank-deficient one (LayerSpectrum.require_gram_logdet), and
+    OverflowError when the factor exceeds float64.
     """
     spec = _spectrum(layer)
-    logdet = spec.require_gram_logdet()
-    return math.sqrt(density_ratio_bound(spec, s_prev)) / math.exp(logdet / 4.0)
-
-
-def _graph_layer_factor(spec: LayerSpectrum, s_prev: float) -> float:
-    """(1 + ||W||^2)^(s/2) / det(W^T W + I)^(1/4)."""
-    lift = max(1.0, (1.0 + spec.op_norm ** 2) ** (s_prev / 2.0))
-    return lift / math.exp(spec.lifted_logdet / 4.0)
-
-
-def _weighted_layer_factor(spec: LayerSpectrum, s_prev: float) -> float:
-    """max{1, ||W||^s} / |det W_r|^(1/2)."""
-    return max(1.0, spec.op_norm ** s_prev) / math.exp(spec.restricted_logdet / 2.0)
+    spec.require_gram_logdet()
+    return math.exp(_factor_table([spec], [s_prev])[0]["injective"])
 
 
 def g_factor_gaussian(w, c_gauss: float) -> float:
@@ -238,7 +245,7 @@ class VariantChoice:
     alternate: str | None = None
 
 
-def choose_variant(layer, prev_dim: int) -> VariantChoice:
+def choose_variant(layer) -> VariantChoice:
     """Route a layer (LayerSpec, LayerSpectrum or matrix) to the tightest applicable variant."""
     spec = _spectrum(layer)
     rows, cols = spec.rows, spec.cols
@@ -264,41 +271,42 @@ def choose_variant(layer, prev_dim: int) -> VariantChoice:
 # whole-network bound variants
 
 
-def _check_constants(net: NetworkSpec, c: BoundConstants) -> None:
-    if len(c.sigma_norms) != net.depth or len(c.g_factors) != net.depth:
-        raise InvalidParameterError(
-            "sigma_norms and g_factors must have one entry per layer"
-        )
-
-
 def _factor_table(
-    spectra: list[LayerSpectrum], net: NetworkSpec, c: BoundConstants
+    spectra: list[LayerSpectrum], s_chain, c: BoundConstants | None = None
 ) -> list[dict[str, float | None]]:
-    """Per layer, each per-layer Koopman variant's factor, constants included.
+    """Per layer, the natural log of each per-layer Koopman variant's factor.
 
-    None marks a variant whose precondition the layer fails: the
-    determinant variants need full column rank, invertible also a square
-    matrix.
+    s_chain[j] is the smoothness of layer j's input space.  With `c`, the
+    factors include the layer's isotropy factor G and activation norm
+    ||K_sigma||; without it they are constants-free.  None marks a variant
+    whose precondition the layer fails: the determinant variants need
+    full column rank, invertible also a square matrix.
     """
-    s_chain = net.smoothness_chain()
+    ones = (1.0,) * len(spectra)
+    g_factors, sigma_norms = (ones, ones) if c is None else (c.g_factors, c.sigma_norms)
     table = []
-    for spec, s, g, sig in zip(spectra, s_chain, c.g_factors, c.sigma_norms):
-        koop = None if spec.gram_logdet is None else koopman_layer_factor(spec, s) * sig
+    for spec, s, g, sig in zip(spectra, s_chain, g_factors, sigma_norms):
+        log_g, log_sig = math.log(g), math.log(sig)
+        log_lift = _log_norm_power(spec, s)  # log max{1, ||W||^s}
+        koop = (
+            None if spec.gram_logdet is None
+            else log_lift - spec.gram_logdet / 4.0 + log_sig
+        )
         table.append({
             "invertible": koop if spec.rows == spec.cols else None,
-            "injective": None if koop is None else koop * g,
-            "graph": _graph_layer_factor(spec, s) * g * sig,
-            "weighted": _weighted_layer_factor(spec, s) * g * sig,
+            "injective": None if koop is None else koop + log_g,
+            "graph": (
+                s / 2.0 * math.log1p(spec.op_norm ** 2) - spec.lifted_logdet / 4.0
+                + log_g + log_sig
+            ),
+            "weighted": log_lift - spec.restricted_logdet / 2.0 + log_g + log_sig,
         })
     return table
 
 
-def _total(c: BoundConstants, layer_factors) -> float:
-    """prefactor * prod(layer_factors), accumulated in log space."""
-    log_total = math.log(c.prefactor)
-    for f in layer_factors:
-        log_total += math.log(f)
-    return math.exp(log_total)
+def _total(c: BoundConstants, log_factors) -> float:
+    """prefactor * prod(exp(log_factors)), exponentiated once."""
+    return math.exp(sum(log_factors, math.log(c.prefactor)))
 
 
 def _variant_total(variant: str, spectra, table, c: BoundConstants) -> float:
@@ -318,22 +326,25 @@ def _variant_total(variant: str, spectra, table, c: BoundConstants) -> float:
     return _total(c, [row[variant] for row in table])
 
 
-def _koopman_bound(
-    variant: str, net: NetworkSpec, c: BoundConstants, weighted_tol: float = 1e-8
-) -> float:
-    _check_constants(net, c)
-    spectra = layer_spectra(net, weighted_tol)
-    return _variant_total(variant, spectra, _factor_table(spectra, net, c), c)
+def _spectra_and_table(net: NetworkSpec, c: BoundConstants, weighted_tol=1e-8, spectra=None):
+    """The layers' spectra (built unless given) and their `_factor_table`."""
+    if len(c.sigma_norms) != net.depth or len(c.g_factors) != net.depth:
+        raise InvalidParameterError(
+            "sigma_norms and g_factors must have one entry per layer"
+        )
+    if spectra is None:
+        spectra = layer_spectra(net, weighted_tol)
+    return spectra, _factor_table(spectra, net.smoothness_chain(), c)
 
 
 def bound_invertible(net: NetworkSpec, c: BoundConstants) -> float:
     """Theorem-style bound for square invertible layers."""
-    return _koopman_bound("invertible", net, c)
+    return _variant_total("invertible", *_spectra_and_table(net, c), c)
 
 
 def bound_injective(net: NetworkSpec, c: BoundConstants) -> float:
     """Bound for tall full-column-rank layers, with isotropy factors G_j."""
-    return _koopman_bound("injective", net, c)
+    return _variant_total("injective", *_spectra_and_table(net, c), c)
 
 
 def bound_graph(net: NetworkSpec, c: BoundConstants) -> float:
@@ -343,14 +354,14 @@ def bound_graph(net: NetworkSpec, c: BoundConstants) -> float:
     caller's g_norm is used and the total is flagged "modulo psi-norm"
     in reports.
     """
-    return _koopman_bound("graph", net, c)
+    return _variant_total("graph", *_spectra_and_table(net, c), c)
 
 
 def bound_weighted(
     net: NetworkSpec, c: BoundConstants, tol: float = 1e-8
 ) -> float:
     """Weighted-composition bound using determinants restricted to ker(W)^perp."""
-    return _koopman_bound("weighted", net, c, tol)
+    return _variant_total("weighted", *_spectra_and_table(net, c, tol), c)
 
 
 def _feasible_prefix_length(spectra: list[LayerSpectrum]) -> int:
@@ -371,7 +382,9 @@ def _combined(spectra, table, c: BoundConstants, l: int) -> float:
     tail = [spec.fro_norm for spec in spectra[l:]]
     if 0.0 in tail:
         return 0.0  # a zero layer collapses the Frobenius tail
-    return _total(c, [row["injective"] for row in table[:l]] + [2.0 * f for f in tail])
+    return _total(
+        c, [row["injective"] for row in table[:l]] + [math.log(2.0 * f) for f in tail]
+    )
 
 
 def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
@@ -383,11 +396,9 @@ def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
     l = L recovers bound_injective exactly; l = 0 recovers the pure
     Frobenius-product endpoint.
     """
-    _check_constants(net, c)
     if not (0 <= l <= net.depth):
         raise InvalidParameterError(f"l must be in [0, {net.depth}], got {l}")
-    spectra = layer_spectra(net)
-    return _combined(spectra, _factor_table(spectra, net, c), c, l)
+    return _combined(*_spectra_and_table(net, c), c, l)
 
 
 def _combined_best(spectra, table, c: BoundConstants):
@@ -404,9 +415,7 @@ def bound_combined_best(
     net: NetworkSpec, c: BoundConstants
 ) -> tuple[int, float, list[tuple[int, float | None]]]:
     """Minimize the combined bound over the split point l; ties go to smaller l."""
-    _check_constants(net, c)
-    spectra = layer_spectra(net)
-    return _combined_best(spectra, _factor_table(spectra, net, c), c)
+    return _combined_best(*_spectra_and_table(net, c), c)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +434,7 @@ def _neyshabur18(spectra: list[LayerSpectrum], n: int) -> float:
         )
     max_width = max(spec.rows for spec in spectra)
     prod = math.prod(spec.op_norm for spec in spectra)
-    ratio_sum = sum((spec.fro_norm / spec.op_norm) ** 2 for spec in spectra)
+    ratio_sum = sum(spec.stable_rank for spec in spectra)
     return len(spectra) * max_width * prod * math.sqrt(ratio_sum) / math.sqrt(n)
 
 
@@ -506,13 +515,8 @@ def default_constants(
     if g_factors is None:
         g_factors = []
         for j, layer in enumerate(net.layers):
-            w = layer.weight
-            spec = w if spectra is None else spectra[j]
-            square_full_rank = (
-                w.shape[0] == w.shape[1]
-                and _spectrum(spec).rank == w.shape[1]
-            )
-            if square_full_rank:
+            spec = layer if spectra is None else spectra[j]
+            if layer.out_dim == layer.in_dim == _spectrum(spec).rank:
                 g_factors.append(1.0)
             elif j == net.depth - 1 and isinstance(net.head, GaussianHead):
                 g_factors.append(g_factor_gaussian(spec, net.head.c))
@@ -536,11 +540,20 @@ class LayerRecord:
     cols: int
     singular_values: list[float]
     condition_number: float
-    density_ratio_bound: float
-    det_factor: float | None  # det(W^T W)^(1/4), None if rank deficient
+    density_ratio_bound: float  # +inf beyond float64
+    det_factor: float | None  # det(W^T W)^(1/4), None if rank deficient, +inf beyond float64
     numeric_rank: int
     variant_choice: str
-    factors: dict[str, float | None]  # per-variant layer factor
+    factors: dict[str, float | None]  # per-variant layer factor, exp of a _factor_table entry
+
+
+def _map_leaves(x, fn):
+    """x with fn applied to every value that is not a dict, list or tuple."""
+    if isinstance(x, dict):
+        return {k: _map_leaves(v, fn) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_map_leaves(v, fn) for v in x]
+    return fn(x)
 
 
 @dataclass
@@ -558,28 +571,19 @@ class BoundReport:
     spectra: list[LayerSpectrum] = field(default_factory=list, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
+        """The report as plain JSON values; every +inf float is written "inf"."""
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
-        doc["layers"] = [
-            dict(vars(r), condition_number=(
-                "inf" if math.isinf(r.condition_number) else r.condition_number
-            ))
-            for r in self.layers
-        ]
-        doc["combined_per_l"] = [[l, v] for l, v in self.combined_per_l]
-        return {"version": 1, **doc}
+        doc["layers"] = [vars(r) for r in self.layers]
+        return _map_leaves({"version": 1, **doc}, lambda v: "inf" if v == math.inf else v)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BoundReport":
+        doc = _map_leaves(doc, lambda v: math.inf if v == "inf" else v)
         kwargs = {f.name: doc[f.name] for f in fields(cls) if f.compare}
-        kwargs["layers"] = [
-            LayerRecord(**dict(r, condition_number=(
-                math.inf if r["condition_number"] == "inf" else r["condition_number"]
-            )))
-            for r in doc["layers"]
-        ]
+        kwargs["layers"] = [LayerRecord(**r) for r in doc["layers"]]
         kwargs["combined_per_l"] = [tuple(x) for x in doc["combined_per_l"]]
         return cls(**kwargs)
 
@@ -604,8 +608,7 @@ class BoundReport:
                         "" if factor is None else repr(factor),
                         repr(r.singular_values[0]),
                         repr(r.singular_values[-1]),
-                        "inf" if math.isinf(r.condition_number)
-                        else repr(r.condition_number),
+                        repr(r.condition_number),  # repr(inf) is "inf"
                         r.numeric_rank,
                     ]
                 )
@@ -652,11 +655,8 @@ def full_report(
     `layer_spectra(net, weighted_tol)` to reuse records already built.
     """
     net.validate()
-    _check_constants(net, c)
     s_chain = net.smoothness_chain()
-    if spectra is None:
-        spectra = layer_spectra(net, weighted_tol)
-    table = _factor_table(spectra, net, c)
+    spectra, table = _spectra_and_table(net, c, weighted_tol, spectra)
     totals: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
 
@@ -666,7 +666,7 @@ def full_report(
         except VariantInapplicable as exc:
             inapplicable[name] = exc.reason
 
-    for variant in ("invertible", "injective", "graph", "weighted"):
+    for variant in KOOPMAN_VARIANTS[:-1]:  # the per-layer variants; combined follows
         attempt(variant, _variant_total, variant, spectra, table, c)
     l_star, totals["combined"], per_l = _combined_best(spectra, table, c)
     attempt("neyshabur15", bound_neyshabur15, net, c.n)
@@ -683,13 +683,13 @@ def full_report(
             condition_number=spec.condition_number,
             density_ratio_bound=density_ratio_bound(spec, s_chain[j]),
             det_factor=(
-                None if spec.gram_logdet is None else math.exp(spec.gram_logdet / 4.0)
+                None if spec.gram_logdet is None else _exp_or_inf(spec.gram_logdet / 4.0)
             ),
             numeric_rank=spec.restricted_rank,
-            variant_choice=choose_variant(spec, net.widths[j]).tag,
-            factors=factors,
+            variant_choice=choose_variant(spec).tag,
+            factors={k: None if v is None else math.exp(v) for k, v in row.items()},
         )
-        for j, (spec, factors) in enumerate(zip(spectra, table))
+        for j, (spec, row) in enumerate(zip(spectra, table))
     ]
     flags = list(c.notes)
     flags.append("graph total is modulo the lifted-head psi-norm")

@@ -18,7 +18,7 @@ stable_rank, koopman_factor, test_metric.
 
 Bound CSV: one row per (layer, variant) factor plus per-variant total
 rows; columns layer, variant, factor, sigma_max, sigma_min, cond,
-numeric_rank.
+numeric_rank.  Bound JSON is strict: a non-finite float is written "inf".
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
         bounds_mod.NotBiLipschitzError,
     ) as exc:
         raise CliError(str(exc)) from exc
-    except (OverflowError, ZeroDivisionError) as exc:
-        # exp of a log factor above ~709, or 1/exp of one below ~-745
+    except OverflowError as exc:
+        # exp of a per-layer log factor, a log total or the spectral product above ~709
         raise CliError(f"the bound report overflows float64 ({exc})") from exc
 
 
@@ -95,7 +95,7 @@ def cmd_inspect(args) -> int:
     lines = ["layer,sigma_max,sigma_min,cond,stable_rank,koopman_factor"]
     for j, (snap, row) in enumerate(zip(snaps, report.layers), start=1):
         smax, smin, srank = snap.singular_values[0], snap.singular_values[-1], snap.stable_rank
-        cond = "inf" if math.isinf(snap.condition_number) else f"{snap.condition_number:.6g}"
+        cond = f"{snap.condition_number:.6g}"  # "inf" for a singular layer
         if snap.layer_factor is None:
             koop_txt = "n/a"
             why = "wide" if row.rows < row.cols else "rank deficient"

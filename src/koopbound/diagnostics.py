@@ -13,10 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import matcore
-from .bounds import BoundReport
+from .bounds import BoundReport, koopman_layer_factor
 from .matcore import LayerSpectrum
 
 
@@ -29,11 +26,10 @@ def stable_rank(w) -> float:
 
     w is a matrix or its matcore.LayerSpectrum.
     """
-    s = w.sigma if isinstance(w, LayerSpectrum) else matcore.singular_values(w)
-    top = float(s[0])
-    if top == 0.0:
+    srank = (w if isinstance(w, LayerSpectrum) else LayerSpectrum.of(w)).stable_rank
+    if math.isnan(srank):
         raise DiagnosticsError("stable rank is undefined for the zero matrix")
-    return float(np.sum(s ** 2)) / top ** 2
+    return srank
 
 
 @dataclass
@@ -79,8 +75,7 @@ class SpectrumLog:
                         j,
                         repr(snap.singular_values[0]),
                         repr(snap.singular_values[-1]),
-                        "inf" if math.isinf(snap.condition_number)
-                        else repr(snap.condition_number),
+                        repr(snap.condition_number),  # repr(inf) is "inf"
                         repr(snap.stable_rank),
                         "nan" if snap.layer_factor is None
                         else repr(snap.layer_factor),
@@ -93,25 +88,20 @@ class SpectrumLog:
 def snapshot(report: BoundReport, epoch: int, test_metric: float | None = None) -> EpochRecord:
     """Project a bound report of the current weights onto one epoch record.
 
-    Reads the report's layer rows and the spectra it was computed from
-    (a report read back from JSON has none); runs no SVD.
+    Reads the report's layer rows, its smoothness chain and the spectra it
+    was computed from; runs no SVD.  A report read back from JSON has no
+    spectra, and gives a ValueError.
     """
-    snaps = []
-    for row, spec in zip(report.layers, report.spectra, strict=True):
-        try:
-            srank = stable_rank(spec)
-        except DiagnosticsError:
-            srank = float("nan")
-        snaps.append(
-            LayerSnapshot(
-                singular_values=list(row.singular_values),
-                condition_number=row.condition_number,
-                stable_rank=srank,
-                # koopman_layer_factor, from the quantities the row already holds
-                layer_factor=(
-                    None if row.det_factor is None
-                    else math.sqrt(row.density_ratio_bound) / row.det_factor
-                ),
-            )
+    s_chain = report.metadata["smoothness_chain"][:-1]  # each layer's input space
+    snaps = [
+        LayerSnapshot(
+            singular_values=list(row.singular_values),
+            condition_number=row.condition_number,
+            stable_rank=spec.stable_rank,
+            layer_factor=(
+                None if spec.gram_logdet is None else koopman_layer_factor(spec, s)
+            ),
         )
+        for row, spec, s in zip(report.layers, report.spectra, s_chain, strict=True)
+    ]
     return EpochRecord(epoch=epoch, layers=snaps, test_metric=test_metric)

@@ -129,10 +129,10 @@ class LayerSpectrum:
     """A weight matrix's singular values and every quantity derived from them.
 
     Built by `LayerSpectrum.of` from one SVD; the helpers above, the
-    bounds and the diagnostics all read their rank, determinants, norms
-    and condition number from it.  The rank cutoff `tol` is the relative
-    `rank_tolerance`; `restricted_*` keep the singular values above the
-    absolute `weighted_tol` instead.
+    bounds and the diagnostics all read their rank, determinants, norms,
+    condition number and stable rank from it.  The rank cutoff `tol` is
+    the relative `rank_tolerance`; `restricted_*` keep the singular values
+    above the absolute `weighted_tol` instead.
     """
 
     rows: int
@@ -184,6 +184,13 @@ class LayerSpectrum:
         if self.sigma_min == 0.0:
             return math.inf
         return self.op_norm / self.sigma_min
+
+    @property
+    def stable_rank(self) -> float:
+        """||W||_F^2 / ||W||^2 = sum sigma_i^2 / sigma_1^2; NaN for the zero matrix."""
+        if self.op_norm == 0.0:
+            return math.nan
+        return float(np.sum(self.sigma ** 2)) / self.op_norm ** 2
 
     def require_gram_logdet(self) -> float:
         """gram_logdet, or the ShapeError (wide) or RankDeficientError that says why not."""

@@ -568,10 +568,11 @@ def train(
             train_loss = _mean_loss(net.head, config.head_loss, train_out, dataset.targets)
             held_loss = _mean_loss(net.head, config.head_loss, held_out, dataset.held_targets)
             report = bounds_mod.full_report(net, constants)
+            test_acc = _accuracy(held_out, dataset.held_targets) if classification else None
+            snap = diagnostics.snapshot(report, epoch, test_metric=test_acc)
         except (DivergenceError, OverflowError, NotFiniteError, RankDeficientError):
             diverged = True
             break
-        test_acc = _accuracy(held_out, dataset.held_targets) if classification else None
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
@@ -582,7 +583,7 @@ def train(
                 test_accuracy=test_acc,
             )
         )
-        spectrum.append(diagnostics.snapshot(report, epoch, test_metric=test_acc))
+        spectrum.append(snap)
 
     return TrainRun(
         config=config, metrics=metrics, net=net, spectrum=spectrum,

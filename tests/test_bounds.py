@@ -326,21 +326,21 @@ class TestSvdCount:
 class TestChooseVariant:
     def test_square_full_rank(self):
         layer = LayerSpec(weight=np.eye(3), bias=np.zeros(3))
-        assert choose_variant(layer, 3).tag == "invertible"
+        assert choose_variant(layer).tag == "invertible"
 
     def test_tall(self):
         layer = LayerSpec(weight=np.ones((4, 2)) + np.eye(4, 2), bias=np.zeros(4))
-        assert choose_variant(layer, 2).tag == "injective"
+        assert choose_variant(layer).tag == "injective"
 
     def test_wide_routes_to_graph(self):
         layer = LayerSpec(weight=np.ones((2, 4)), bias=np.zeros(2), s_out=2.2)
-        choice = choose_variant(layer, 4)
+        choice = choose_variant(layer)
         assert choice.tag == "graph"
         assert choice.alternate == "weighted"
 
     def test_rank_deficient_routes_to_graph(self):
         layer = LayerSpec(weight=np.diag([1.0, 0.0]), bias=np.zeros(2))
-        assert choose_variant(layer, 2).tag == "graph"
+        assert choose_variant(layer).tag == "graph"
 
 
 class TestVariants:

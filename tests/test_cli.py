@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifact schemas, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -199,6 +200,47 @@ def test_overflowing_report_exits_2(tmp_path, capsys, command, edit):
     err = capsys.readouterr().err
     assert err.startswith("error: the bound report overflows float64")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [("bound", "--n", "1500"), ("inspect",)])
+def test_scaled_orthogonal_layer_report_is_finite(tmp_path, capsys, command):
+    """300 * Q: ||W||^s and det(W^T W)^(1/4) are each near 1e158 and beyond
+    float64 squared; their ratio, the layer's factor, is not."""
+    net = _digits_net()
+    net.layers[1].weight *= 300.0
+    path = tmp_path / "net.json"
+    weightio.save_weights(net, path)
+    out = tmp_path / "out"
+    flags = ("--output", str(out)) if command[0] == "bound" else ("--csv", str(out))
+    assert run_cli(command[0], str(path), *command[1:], *flags) == 0
+    capsys.readouterr()
+    if command[0] == "bound":
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert all(0.0 < v < math.inf for v in doc["totals"].values())
+        assert doc["layers"][1]["density_ratio_bound"] == "inf"
+    else:
+        assert all(line.split(",")[-1] != "n/a" for line in out.read_text().splitlines()[1:3])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_bound_json_is_strict_and_round_trips(tmp_path, capsys):
+    """A zero layer: condition number and spectral product are +inf."""
+    net = build_network([3, 3, 6], GaussianHead(), seed=2)
+    net.layers[0].weight = np.zeros((3, 3))
+    path, out = tmp_path / "net.json", tmp_path / "report.json"
+    weightio.save_weights(net, path)
+    assert run_cli("bound", str(path), "--n", "100", "--output", str(out)) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert doc["matrix_factor"] == "inf" and doc["layers"][0]["condition_number"] == "inf"
+    report = bounds.BoundReport.from_json(text)
+    assert report.matrix_factor == math.inf
+    assert report.layers[0].condition_number == math.inf
+    assert report.to_json() == text
 
 
 UNWRITABLE_OUTPUTS = {

@@ -14,7 +14,7 @@ from koopbound.diagnostics import (
     snapshot,
     stable_rank,
 )
-from koopbound.matcore import condition_number, singular_values
+from koopbound.matcore import LayerSpectrum, condition_number, singular_values
 from koopbound.network import GaussianHead, SoftmaxHead
 from koopbound.trainer import build_network
 
@@ -33,6 +33,11 @@ class TestStableRank:
     def test_zero_matrix_undefined(self):
         with pytest.raises(DiagnosticsError):
             stable_rank(np.zeros((3, 3)))
+
+    def test_reads_layer_spectrum(self):
+        w = np.diag([3.0, 1.0])
+        assert LayerSpectrum.of(w).stable_rank == stable_rank(w) == stable_rank(LayerSpectrum.of(w))
+        assert math.isnan(LayerSpectrum.of(np.zeros((3, 3))).stable_rank)
 
 
 def _report(net):

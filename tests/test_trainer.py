@@ -357,6 +357,18 @@ class TestRankCollapse:
         assert run.diverged
         assert run.metrics == [] and run.spectrum.epochs == []
 
+    def test_overflowing_koopman_factor_ends_as_divergence(self):
+        # 1 / det(W^T W)^(1/4) = e^884 for a full-rank 128x128 layer 1e-6 * Q
+        net = build_network(
+            [64, 128, 128, 10], SoftmaxHead(), seed=0,
+            init=["orthogonal", "orthogonal", "truncated_normal"],
+        )
+        net.layers[1].weight *= 1e-6
+        cfg = TrainConfig(epochs=1, learning_rate=0.0, head_loss="cross_entropy")
+        run = train(cfg, load_digits(), net, classification=True)
+        assert run.diverged
+        assert run.metrics == [] and run.spectrum.epochs == []
+
     def test_collapse_mid_run_keeps_earlier_epochs(self, monkeypatch):
         calls = []
         real = trainer_mod.regularizer_synthetic
