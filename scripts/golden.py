@@ -7,6 +7,8 @@ Runs, in process and from the checkout's own `src`:
 
 - `train` synthetic, seed 0, 20 epochs;
 - `train` digits, seed 0, 2 epochs, with and without the regularizer;
+- a rank-deficient 3-3-6 Gaussian-head net (seed 0, layer 1 replaced by
+  the rank-1 outer([1, 2, 0.5], [1, 0, 1])), saved as rank1/weights.json;
 - for each weights.json so written: the `bound` report as JSON and as
   CSV (n = 1000), and the `inspect` table (stdout) and its CSV.
 
@@ -23,7 +25,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
+from koopbound import trainer, weightio  # noqa: E402
 from koopbound.cli import main as cli_main  # noqa: E402
+from koopbound.network import GaussianHead  # noqa: E402
 
 TRAIN_RUNS = {
     "synthetic": ["--task", "synthetic", "--epochs", "20"],
@@ -46,10 +52,16 @@ def run(outdir: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     worst = 0
     for name, flags in TRAIN_RUNS.items():
-        rundir = out / name
-        argv = ["train", *flags, "--seed", "0", "--outdir", str(rundir)]
+        argv = ["train", *flags, "--seed", "0", "--outdir", str(out / name)]
         worst = max(worst, _cli(argv, out / f"{name}.train.txt"))
-        weights = str(rundir / "weights.json")
+    # the "numerically singular" and "lacks full column rank" reasons and
+    # the inspect "rank deficient" label
+    rank1 = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)
+    rank1.layers[0].weight = np.outer([1.0, 2.0, 0.5], [1.0, 0.0, 1.0])
+    (out / "rank1").mkdir(exist_ok=True)
+    weightio.save_weights(rank1, out / "rank1" / "weights.json")
+    for name in [*TRAIN_RUNS, "rank1"]:
+        weights = str(out / name / "weights.json")
         for fmt in ("json", "csv"):
             worst = max(worst, cli_main([
                 "bound", weights, "--n", "1000", "--out", fmt,

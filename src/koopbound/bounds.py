@@ -111,10 +111,10 @@ def _spectrum(layer) -> LayerSpectrum:
     return LayerSpectrum.of(layer.weight if isinstance(layer, LayerSpec) else layer)
 
 
-def layer_spectra(net: NetworkSpec, weighted_tol: float = 1e-8) -> list[LayerSpectrum]:
+def layer_spectra(net: NetworkSpec) -> list[LayerSpectrum]:
     """One LayerSpectrum per layer: the SVDs a report needs, for callers
     that pass them to both `default_constants` and `full_report`."""
-    return [LayerSpectrum.of(layer.weight, weighted_tol) for layer in net.layers]
+    return [LayerSpectrum.of(layer.weight) for layer in net.layers]
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +238,36 @@ def activation_opnorm_bound(activation, d: int) -> float:
     raise TypeError(f"unknown activation {activation!r}")
 
 
+def _why_inapplicable(spec: LayerSpectrum, variant: str) -> str | None:
+    """Why the layer fails the variant's full-rank precondition; None if it meets it.
+
+    invertible needs a square matrix with full column rank, injective
+    full column rank; every layer meets graph's and weighted's.
+    """
+    if variant == "invertible" and spec.rows != spec.cols:
+        return f"is {spec.rows}x{spec.cols}, not square"
+    if variant not in ("invertible", "injective") or spec.gram_logdet is not None:
+        return None
+    if variant == "invertible":
+        return f"is numerically singular (sigma_min={spec.sigma_min:.3e})"
+    if spec.rows < spec.cols:
+        return f"is {spec.rows}x{spec.cols} (wide), not injective"
+    return f"lacks full column rank (sigma_min={spec.sigma_min:.3e})"
+
+
 @dataclass(frozen=True)
 class VariantChoice:
     tag: str
-    reason: str
     alternate: str | None = None
 
 
 def choose_variant(layer) -> VariantChoice:
     """Route a layer (LayerSpec, LayerSpectrum or matrix) to the tightest applicable variant."""
     spec = _spectrum(layer)
-    rows, cols = spec.rows, spec.cols
-    full_col_rank = spec.rank == cols
-    if rows == cols and full_col_rank:
-        return VariantChoice("invertible", "square with sigma_min above tolerance")
-    if rows > cols and full_col_rank:
-        return VariantChoice("injective", "tall with full column rank")
-    if rows < cols:
-        return VariantChoice(
-            "graph",
-            f"wide layer ({rows}x{cols}) cannot be injective",
-            alternate="weighted",
-        )
-    return VariantChoice(
-        "graph",
-        f"rank deficient (sigma_min={spec.sigma_min:.3e} <= tolerance {spec.tol:.3e})",
-        alternate="weighted",
-    )
+    for tag in ("invertible", "injective"):
+        if not _why_inapplicable(spec, tag):
+            return VariantChoice(tag)
+    return VariantChoice("graph", alternate="weighted")
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +282,7 @@ def _factor_table(
     s_chain[j] is the smoothness of layer j's input space.  With `c`, the
     factors include the layer's isotropy factor G and activation norm
     ||K_sigma||; without it they are constants-free.  None marks a variant
-    whose precondition the layer fails: the determinant variants need
-    full column rank, invertible also a square matrix.
+    whose precondition the layer fails (`_why_inapplicable`).
     """
     ones = (1.0,) * len(spectra)
     g_factors, sigma_norms = (ones, ones) if c is None else (c.g_factors, c.sigma_norms)
@@ -289,11 +291,11 @@ def _factor_table(
         log_g, log_sig = math.log(g), math.log(sig)
         log_lift = _log_norm_power(spec, s)  # log max{1, ||W||^s}
         koop = (
-            None if spec.gram_logdet is None
+            None if _why_inapplicable(spec, "injective")
             else log_lift - spec.gram_logdet / 4.0 + log_sig
         )
         table.append({
-            "invertible": koop if spec.rows == spec.cols else None,
+            "invertible": None if _why_inapplicable(spec, "invertible") else koop,
             "injective": None if koop is None else koop + log_g,
             "graph": (
                 s / 2.0 * math.log1p(spec.op_norm ** 2) - spec.lifted_logdet / 4.0
@@ -310,30 +312,21 @@ def _total(c: BoundConstants, log_factors) -> float:
 
 
 def _variant_total(variant: str, spectra, table, c: BoundConstants) -> float:
-    for j, (spec, row) in enumerate(zip(spectra, table), start=1):
-        if row[variant] is not None:
-            continue
-        smin = f"(sigma_min={spec.sigma_min:.3e})"
-        if variant == "invertible":
-            if spec.rows != spec.cols:
-                raise VariantInapplicable(f"layer {j} is {spec.rows}x{spec.cols}, not square")
-            raise VariantInapplicable(f"layer {j} is numerically singular {smin}")
-        if spec.rows < spec.cols:
-            raise VariantInapplicable(
-                f"layer {j} is {spec.rows}x{spec.cols} (wide), not injective"
-            )
-        raise VariantInapplicable(f"layer {j} lacks full column rank {smin}")
+    for j, spec in enumerate(spectra, start=1):
+        why = _why_inapplicable(spec, variant)
+        if why:
+            raise VariantInapplicable(f"layer {j} {why}")
     return _total(c, [row[variant] for row in table])
 
 
-def _spectra_and_table(net: NetworkSpec, c: BoundConstants, weighted_tol=1e-8, spectra=None):
+def _spectra_and_table(net: NetworkSpec, c: BoundConstants, spectra=None):
     """The layers' spectra (built unless given) and their `_factor_table`."""
     if len(c.sigma_norms) != net.depth or len(c.g_factors) != net.depth:
         raise InvalidParameterError(
             "sigma_norms and g_factors must have one entry per layer"
         )
     if spectra is None:
-        spectra = layer_spectra(net, weighted_tol)
+        spectra = layer_spectra(net)
     return spectra, _factor_table(spectra, net.smoothness_chain(), c)
 
 
@@ -357,17 +350,16 @@ def bound_graph(net: NetworkSpec, c: BoundConstants) -> float:
     return _variant_total("graph", *_spectra_and_table(net, c), c)
 
 
-def bound_weighted(
-    net: NetworkSpec, c: BoundConstants, tol: float = 1e-8
-) -> float:
+def bound_weighted(net: NetworkSpec, c: BoundConstants) -> float:
     """Weighted-composition bound using determinants restricted to ker(W)^perp."""
-    return _variant_total("weighted", *_spectra_and_table(net, c, tol), c)
+    return _variant_total("weighted", *_spectra_and_table(net, c), c)
 
 
 def _feasible_prefix_length(spectra: list[LayerSpectrum]) -> int:
     """Longest l such that layers 1..l all satisfy the injective preconditions."""
     return next(
-        (j for j, spec in enumerate(spectra) if spec.gram_logdet is None), len(spectra)
+        (j for j, spec in enumerate(spectra) if _why_inapplicable(spec, "injective")),
+        len(spectra),
     )
 
 
@@ -448,7 +440,7 @@ def bound_golowich18(net: NetworkSpec, n: int) -> float:
     return prod * min(n ** -0.25, math.sqrt(L / n))
 
 
-def _bartlett17(net: NetworkSpec, spectra, n: int, refs) -> float:
+def _bartlett17(net: NetworkSpec, spectra, n: int, refs=None) -> float:
     if refs is None:
         refs = [np.zeros_like(l.weight) for l in net.layers]
     if len(refs) != net.depth:
@@ -516,7 +508,8 @@ def default_constants(
         g_factors = []
         for j, layer in enumerate(net.layers):
             spec = layer if spectra is None else spectra[j]
-            if layer.out_dim == layer.in_dim == _spectrum(spec).rank:
+            square = layer.out_dim == layer.in_dim  # a non-square layer takes no SVD
+            if square and not _why_inapplicable(_spectrum(spec), "invertible"):
                 g_factors.append(1.0)
             elif j == net.depth - 1 and isinstance(net.head, GaussianHead):
                 g_factors.append(g_factor_gaussian(spec, net.head.c))
@@ -644,19 +637,17 @@ def matrix_factor_product(net: NetworkSpec) -> float:
 def full_report(
     net: NetworkSpec,
     c: BoundConstants,
-    weighted_tol: float = 1e-8,
-    bartlett_refs: list[np.ndarray] | None = None,
     spectra: list[LayerSpectrum] | None = None,
 ) -> BoundReport:
     """Evaluate every variant and competitor; inapplicable ones become markers.
 
     One SVD per layer: every quantity below is read from the layers'
     spectra, which the report keeps in `spectra`.  Pass `spectra` from
-    `layer_spectra(net, weighted_tol)` to reuse records already built.
+    `layer_spectra(net)` to reuse records already built.
     """
     net.validate()
     s_chain = net.smoothness_chain()
-    spectra, table = _spectra_and_table(net, c, weighted_tol, spectra)
+    spectra, table = _spectra_and_table(net, c, spectra)
     totals: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
 
@@ -672,7 +663,7 @@ def full_report(
     attempt("neyshabur15", bound_neyshabur15, net, c.n)
     attempt("neyshabur18", _neyshabur18, spectra, c.n)
     attempt("golowich18", bound_golowich18, net, c.n)
-    attempt("bartlett17", _bartlett17, net, spectra, c.n, bartlett_refs)
+    attempt("bartlett17", _bartlett17, net, spectra, c.n)
 
     layers = [
         LayerRecord(

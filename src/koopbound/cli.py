@@ -208,7 +208,7 @@ def _apply_overrides(config: trainer.TrainConfig, args) -> trainer.TrainConfig:
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliError(f"--config: {exc}") from exc
         if not isinstance(doc, dict):
             raise CliError("--config: expected a JSON object")

@@ -14,24 +14,13 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def scatter_svg(
-    xs,
-    ys,
-    shades=None,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 560,
-    height: int = 420,
-) -> str:
+def scatter_svg(xs, ys, shades, xlabel: str = "", ylabel: str = "") -> str:
     """Scatter plot; shades in [0, 1] darken the points (0 light, 1 dark)."""
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     if len(xs) != len(ys) or not xs:
         raise ValueError("xs and ys must be nonempty and the same length")
-    if shades is None:
-        shades = [1.0] * len(xs)
-    margin = 55
+    width, height, margin = 560, 420, 55
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
@@ -69,11 +58,6 @@ def scatter_svg(
         parts.append(
             f'<text x="{margin - 8}" y="{_fmt(py(yv) + 4)}" font-size="11" '
             f'text-anchor="end">{_fmt(yv)}</text>'
-        )
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="24" font-size="14" '
-            f'text-anchor="middle">{title}</text>'
         )
     if xlabel:
         parts.append(

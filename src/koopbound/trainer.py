@@ -176,6 +176,8 @@ def regularizer_synthetic(net: NetworkSpec, lam: float):
         det_inv.append(math.exp(-float(np.sum(np.log(s)))))
     ops = [float(svd[1][0]) for svd in svds]
     det_prod = math.prod(det_inv)
+    if det_prod == 0.0:  # the other layers' factors below divide by it
+        raise DivergenceError("determinant term of the synthetic regularizer underflows")
     op_prod = math.prod(ops)
     value = lam * (det_prod + 10.0 * op_prod)
     grads = []
@@ -222,11 +224,11 @@ def synthetic_target(x) -> np.ndarray:
     return np.exp(-np.sum((2.0 * x - 1.0) ** 2, axis=1))
 
 
-def make_synthetic(n: int, seed: int, dim: int = 3) -> Dataset:
-    """n standard-normal training inputs plus 10n held-out, targets t(x)."""
+def make_synthetic(n: int, seed: int) -> Dataset:
+    """n standard-normal 3-d training inputs plus 10n held-out, targets t(x)."""
     rng = np.random.default_rng(seed)
-    x_train = rng.standard_normal((n, dim))
-    x_held = rng.standard_normal((10 * n, dim))
+    x_train = rng.standard_normal((n, 3))
+    x_held = rng.standard_normal((10 * n, 3))
     return Dataset(
         inputs=x_train,
         targets=synthetic_target(x_train),
@@ -382,7 +384,11 @@ class TrainConfig:
         for ok, message in (
             (self.seed >= 0, "seed must be >= 0"),
             (self.epochs >= 1, "epochs must be >= 1"),
-            (self.learning_rate >= 0, "learning rate must be >= 0"),
+            (0 <= self.learning_rate < math.inf, "learning rate must be finite and >= 0"),
+            (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1, "beta1 and beta2 must be in [0, 1)"),
+            (0 < self.eps < math.inf, "eps must be positive and finite"),
+            (all(0 <= v < math.inf for v in (self.lam, self.lam1, self.lam2)),
+             "lam, lam1 and lam2 must be finite and >= 0"),
             (0.0 < self.lr_decay <= 1.0, "lr_decay must be in (0, 1]"),
             (self.lr_decay_start >= 1, "lr_decay_start must be >= 1"),
             (self.optimizer in ("sgd", "adam"), f"unknown optimizer {self.optimizer!r}"),
@@ -503,9 +509,10 @@ def train(
     shuffling, and the optimizer update order is fixed.  Each epoch is
     evaluated from one forward pass over the training inputs and one over
     the held-out inputs.  A non-finite loss or gradient, a layer that goes
-    singular under the synthetic regularizer, or weights whose bound report
-    overflows, abort with a partial run flagged diverged.  The synthetic
-    regularizer rejects a wide layer before epoch 1.
+    singular or a determinant term that underflows under the synthetic
+    regularizer, or weights whose bound report overflows, abort with a
+    partial run flagged diverged.  The synthetic regularizer rejects a
+    wide layer before epoch 1.
     Sets the process's malloc thresholds (see _keep_freed_heap).
     """
     check_setup(config, net0)

@@ -124,7 +124,7 @@ def _finite_diff_ok(value_fn, params, grads, step, rel_tol, rng, coords_per_tens
     return worst
 
 
-def suite_gradients(seed: int = 0, nets_per_arch: int = 5) -> dict:
+def suite_gradients(seed: int = 0) -> dict:
     """Analytic loss/regularizer gradients vs central finite differences."""
     rng = np.random.default_rng(seed)
     checks = []
@@ -133,7 +133,7 @@ def suite_gradients(seed: int = 0, nets_per_arch: int = 5) -> dict:
         ([6, 8, 8, 4], "squared", GaussianHead()),
     ):
         worst = 0.0
-        for k in range(nets_per_arch):
+        for _ in range(5):
             net = trainer.build_network(widths, head, seed=int(rng.integers(1 << 30)))
             for layer in net.layers:
                 layer.bias = rng.standard_normal(layer.bias.shape) * 0.3

@@ -144,6 +144,8 @@ def load_weights(path) -> NetworkSpec:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise WeightFileError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except UnicodeDecodeError as exc:
+        raise WeightFileError(f"{path}: {exc}") from exc
     try:
         return network_from_json_dict(doc)
     except ValidationError as exc:

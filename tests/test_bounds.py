@@ -385,11 +385,6 @@ class TestVariants:
         c = constants_for(net, n=1)
         assert bound_weighted(net, c) == pytest.approx(1.0)
 
-    def test_weighted_invalid_tol(self):
-        net = simple_net([np.eye(2)])
-        with pytest.raises(InvalidParameterError):
-            bound_weighted(net, constants_for(net), tol=0.0)
-
 
 class TestCombined:
     def _net(self, seed=4):

@@ -49,6 +49,21 @@ class TestUsageErrors:
         assert run_cli("inspect", str(bad)) == cli.EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["bound", "inspect", "train"])
+    def test_non_utf8_input_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "F"
+        path.write_bytes(b"\xff\xfe\x00")
+        argv = {
+            "bound": ["bound", str(path), "--n", "10"],
+            "inspect": ["inspect", str(path)],
+            "train": ["train", "--task", "synthetic", "--config", str(path),
+                      "--outdir", str(tmp_path / "run")],
+        }[command]
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_variant(self, weightfile, capsys):
         code = run_cli("bound", weightfile, "--n", "100", "--variants", "spectral")
         assert code == cli.EXIT_USAGE
@@ -370,6 +385,16 @@ class TestTrainCommand:
         ("digits", {"reg_layers": [5]}),
         ("synthetic", 5),
         ("digits", {"regularizer": "synthetic"}),
+        ("digits", {"beta1": 1.0}),
+        ("digits", {"beta1": -0.1}),
+        ("digits", {"beta2": 1.5}),
+        ("digits", {"eps": 0.0}),
+        ("digits", {"eps": math.inf}),
+        ("synthetic", {"learning_rate": 1e400}),
+        ("synthetic", {"lam": -0.01}),
+        ("synthetic", {"lam": math.nan}),
+        ("digits", {"lam1": math.inf}),
+        ("digits", {"lam2": -1.0}),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, task, doc):
         cfg = tmp_path / "cfg.json"

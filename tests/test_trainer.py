@@ -357,6 +357,15 @@ class TestRankCollapse:
         assert run.diverged
         assert run.metrics == [] and run.spectrum.epochs == []
 
+    def test_underflowing_determinant_term_ends_as_divergence(self):
+        # det(W^T W)^(-1/2) = e^-829 underflows to 0.0 for layer 1 = 1e120 * I
+        net = build_network([3, 3, 6], GaussianHead(), seed=0)
+        net.layers[0].weight = 1e120 * np.eye(3)
+        cfg = TrainConfig(epochs=1, regularizer="synthetic", batch_size=100)
+        run = train(cfg, make_synthetic(200, seed=0), net)
+        assert run.diverged
+        assert run.metrics == [] and run.spectrum.epochs == []
+
     def test_overflowing_koopman_factor_ends_as_divergence(self):
         # 1 / det(W^T W)^(1/4) = e^884 for a full-rank 128x128 layer 1e-6 * Q
         net = build_network(
