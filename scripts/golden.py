@@ -10,7 +10,11 @@ Runs, in process and from the checkout's own `src`:
 - a rank-deficient 3-3-6 Gaussian-head net (seed 0, layer 1 replaced by
   the rank-1 outer([1, 2, 0.5], [1, 0, 1])), saved as rank1/weights.json;
 - for each weights.json so written: the `bound` report as JSON and as
-  CSV (n = 1000), and the `inspect` table (stdout) and its CSV.
+  CSV (n = 1000), and the `inspect` table (stdout) and its CSV;
+- the `verify.suite_lemma1()` and
+  `verify.suite_dominance(draws=20, candidates=500, seeds=(0,))`
+  verdicts as JSON (verify.lemma1.json, verify.dominance.json); the
+  verdicts carry no timings, so they compare byte for byte.
 
 Each train run leaves metrics.csv, spectrum.csv, weights.json and
 bound_vs_generror.svg in its own subdirectory.  Run it on two checkouts
@@ -20,6 +24,7 @@ and compare with `diff -r OUTDIR_A OUTDIR_B`.
 import argparse
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -27,8 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from koopbound import trainer, weightio  # noqa: E402
-from koopbound.cli import main as cli_main  # noqa: E402
+from koopbound import trainer, verify, weightio  # noqa: E402
+from koopbound.cli import EXIT_VERIFY_FAILED, main as cli_main  # noqa: E402
 from koopbound.network import GaussianHead  # noqa: E402
 
 TRAIN_RUNS = {
@@ -69,6 +74,14 @@ def run(outdir: str) -> int:
             ]))
         argv = ["inspect", weights, "--csv", str(out / f"{name}.inspect.csv")]
         worst = max(worst, _cli(argv, out / f"{name}.inspect.txt"))
+    # the grid oracle and the MC function class
+    verdicts = {
+        "lemma1": verify.suite_lemma1(),
+        "dominance": verify.suite_dominance(draws=20, candidates=500, seeds=(0,)),
+    }
+    for name, verdict in verdicts.items():
+        (out / f"verify.{name}.json").write_text(json.dumps(verdict, indent=2) + "\n")
+        worst = max(worst, 0 if verdict["passed"] else EXIT_VERIFY_FAILED)
     print(f"wrote {out}")
     return worst
 

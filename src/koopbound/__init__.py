@@ -38,7 +38,6 @@ from .bounds import (
     VariantInapplicable,
     NotBiLipschitzError,
     BoundConstants,
-    GridSpec,
     density_ratio_bound,
     density_ratio_grid_sup,
     koopman_layer_factor,

@@ -24,6 +24,9 @@ sigma^width, and only their ratio is formed, so a (scaled-)orthogonal
 layer contributes log 1 = 0 whatever its width.  A variant's total is
 exp(log prefactor + sum of its per-layer logs), exponentiated once; the
 report's per-layer factors are the exponentials of the table's entries.
+`koopman_layer_factor` is the constants-free part of the injective
+entry, from the same log helper.  `density_ratio_grid_sup` is the
+sampled oracle for the density-ratio closed form, on a fixed radius grid.
 The activation constant ||K_sigma|| comes from the closed-form extremes
 of the activation's derivative.
 """
@@ -141,45 +144,24 @@ def density_ratio_bound(layer, s_prev: float) -> float:
     return _exp_or_inf(2.0 * _log_norm_power(_spectrum(layer), s_prev))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling grid for the density-ratio supremum over the range of W.
-
-    The directions are the left singular vectors of the matrix that span
-    its range.  Radii are log-spaced up to max_radius, with 0 included.
-    """
-
-    num_radii: int = 200
-    min_radius: float = 1e-3
-    max_radius: float = 1e6
-
-    def radii(self) -> np.ndarray:
-        if self.num_radii < 1:
-            raise InvalidParameterError("grid must contain at least one radius")
-        r = np.geomspace(self.min_radius, self.max_radius, self.num_radii)
-        return np.concatenate(([0.0], r))
-
-
-def density_ratio_grid_sup(
-    w, s_prev: float, s_cur: float, grid: GridSpec | None = None
-) -> float:
+def density_ratio_grid_sup(w, s_prev: float, s_cur: float) -> float:
     """Sampled sup over omega in R(W) of (1+||W^T omega||^2)^s_prev / (1+||omega||^2)^s_cur.
 
     Serves as the independent verification oracle showing the closed form
-    of density_ratio_bound really is an upper bound.
+    of density_ratio_bound really is an upper bound.  The directions are
+    the left singular vectors that span the range of W; the radii are 0
+    plus 200 log-spaced radii from 1e-3 to 1e6.
     """
     if not 0 < s_prev <= s_cur:
         raise InvalidParameterError(
             f"grid supremum needs 0 < s_prev <= s_cur, got {s_prev}, {s_cur}"
         )
-    if grid is None:
-        grid = GridSpec()
     a = matcore.as_matrix(w)
     # the ratio depends on omega only through its norms, so a direction's sign is free
     u_mat, s, _ = np.linalg.svd(a)
     tol = matcore.rank_tolerance(float(s[0]), *a.shape)
     best = 1.0  # omega = 0 is always in the grid and gives ratio 1
-    radii = grid.radii()
+    radii = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 200)))
     for u in u_mat[:, : s.size][:, s > tol].T:
         omegas = radii[:, None] * u[None, :]
         pulled = omegas @ a  # row i is W^T omega_i
@@ -189,17 +171,25 @@ def density_ratio_grid_sup(
     return best
 
 
+def _log_koopman_factor(spec: LayerSpectrum, s_prev: float) -> float | None:
+    """log(max{1, ||W||^s_prev} / det(W^T W)^(1/4)), without constants; None
+    where the layer fails the injective precondition (`_why_inapplicable`)."""
+    if _why_inapplicable(spec, "injective"):
+        return None
+    return _log_norm_power(spec, s_prev) - spec.gram_logdet / 4.0
+
+
 def koopman_layer_factor(layer, s_prev: float) -> float:
     """max{1, ||W||^s_prev} / det(W^T W)^(1/4); equals 1 for orthogonal W.
 
-    The constants-free injective entry of `_factor_table`.  Raises
+    The constants-free part of `_factor_table`'s injective entry.  Raises
     ShapeError for a wide layer and RankDeficientError for a
     rank-deficient one (LayerSpectrum.require_gram_logdet), and
     OverflowError when the factor exceeds float64.
     """
     spec = _spectrum(layer)
     spec.require_gram_logdet()
-    return math.exp(_factor_table([spec], [s_prev])[0]["injective"])
+    return math.exp(_log_koopman_factor(spec, s_prev))
 
 
 def g_factor_gaussian(w, c_gauss: float) -> float:
@@ -255,19 +245,17 @@ def _why_inapplicable(spec: LayerSpectrum, variant: str) -> str | None:
     return f"lacks full column rank (sigma_min={spec.sigma_min:.3e})"
 
 
-@dataclass(frozen=True)
-class VariantChoice:
-    tag: str
-    alternate: str | None = None
+def choose_variant(layer) -> str:
+    """The tightest variant that applies to a layer (LayerSpec, LayerSpectrum or matrix).
 
-
-def choose_variant(layer) -> VariantChoice:
-    """Route a layer (LayerSpec, LayerSpectrum or matrix) to the tightest applicable variant."""
+    "invertible", else "injective", else "graph", which (like "weighted")
+    applies to every layer.
+    """
     spec = _spectrum(layer)
-    for tag in ("invertible", "injective"):
-        if not _why_inapplicable(spec, tag):
-            return VariantChoice(tag)
-    return VariantChoice("graph", alternate="weighted")
+    return next(
+        (tag for tag in ("invertible", "injective") if not _why_inapplicable(spec, tag)),
+        "graph",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +263,22 @@ def choose_variant(layer) -> VariantChoice:
 
 
 def _factor_table(
-    spectra: list[LayerSpectrum], s_chain, c: BoundConstants | None = None
+    spectra: list[LayerSpectrum], s_chain, c: BoundConstants
 ) -> list[dict[str, float | None]]:
     """Per layer, the natural log of each per-layer Koopman variant's factor.
 
-    s_chain[j] is the smoothness of layer j's input space.  With `c`, the
-    factors include the layer's isotropy factor G and activation norm
-    ||K_sigma||; without it they are constants-free.  None marks a variant
-    whose precondition the layer fails (`_why_inapplicable`).
+    s_chain[j] is the smoothness of layer j's input space.  The factors
+    include the layer's isotropy factor G and activation norm ||K_sigma||
+    from `c`.  None marks a variant whose precondition the layer fails
+    (`_why_inapplicable`).
     """
-    ones = (1.0,) * len(spectra)
-    g_factors, sigma_norms = (ones, ones) if c is None else (c.g_factors, c.sigma_norms)
     table = []
-    for spec, s, g, sig in zip(spectra, s_chain, g_factors, sigma_norms):
+    for spec, s, g, sig in zip(spectra, s_chain, c.g_factors, c.sigma_norms):
         log_g, log_sig = math.log(g), math.log(sig)
         log_lift = _log_norm_power(spec, s)  # log max{1, ||W||^s}
-        koop = (
-            None if _why_inapplicable(spec, "injective")
-            else log_lift - spec.gram_logdet / 4.0 + log_sig
-        )
+        koop = _log_koopman_factor(spec, s)
+        if koop is not None:
+            koop += log_sig
         table.append({
             "invertible": None if _why_inapplicable(spec, "invertible") else koop,
             "injective": None if koop is None else koop + log_g,
@@ -485,8 +470,7 @@ def default_constants(
     s=1 formula.  G_j defaults to 1 for full-rank square layers and to
     the Gaussian-head value for the last layer of a Gaussian-head net;
     other layers get 1 with a "G unnormalized" note.  The ranks come
-    from `spectra` (see `layer_spectra`) when given, else from an SVD
-    of each square layer.
+    from `spectra` (see `layer_spectra`), built here when not given.
     """
     notes: list[str] = []
     if B is None:
@@ -505,11 +489,11 @@ def default_constants(
             for layer in net.layers
         ]
     if g_factors is None:
+        if spectra is None:
+            spectra = layer_spectra(net)
         g_factors = []
-        for j, layer in enumerate(net.layers):
-            spec = layer if spectra is None else spectra[j]
-            square = layer.out_dim == layer.in_dim  # a non-square layer takes no SVD
-            if square and not _why_inapplicable(_spectrum(spec), "invertible"):
+        for j, spec in enumerate(spectra):
+            if not _why_inapplicable(spec, "invertible"):
                 g_factors.append(1.0)
             elif j == net.depth - 1 and isinstance(net.head, GaussianHead):
                 g_factors.append(g_factor_gaussian(spec, net.head.c))
@@ -677,7 +661,7 @@ def full_report(
                 None if spec.gram_logdet is None else _exp_or_inf(spec.gram_logdet / 4.0)
             ),
             numeric_rank=spec.restricted_rank,
-            variant_choice=choose_variant(spec).tag,
+            variant_choice=choose_variant(spec),
             factors={k: None if v is None else math.exp(v) for k, v in row.items()},
         )
         for j, (spec, row) in enumerate(zip(spectra, table))

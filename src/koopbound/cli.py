@@ -51,7 +51,7 @@ class CliError(Exception):
 def _load_network(path: str):
     try:
         return weightio.load_weights(path)
-    except (OSError, weightio.WeightFileError, ValidationError) as exc:
+    except (OSError, weightio.WeightFileError) as exc:
         raise CliError(str(exc)) from exc
 
 
@@ -96,7 +96,7 @@ def cmd_inspect(args) -> int:
     for j, (snap, row) in enumerate(zip(snaps, report.layers), start=1):
         smax, smin, srank = snap.singular_values[0], snap.singular_values[-1], snap.stable_rank
         cond = f"{snap.condition_number:.6g}"  # "inf" for a singular layer
-        if snap.layer_factor is None:
+        if row.variant_choice == "graph":
             koop_txt = "n/a"
             why = "wide" if row.rows < row.cols else "rank deficient"
             note = f"  ({why}: invertible/injective variants inapplicable)"
@@ -152,7 +152,6 @@ def default_train_config(task: str, seed: int) -> trainer.TrainConfig:
         return trainer.TrainConfig(
             seed=seed, epochs=200, learning_rate=1.2, optimizer="sgd",
             regularizer="synthetic", lam=0.01, batch_size=100,
-            head_loss="squared",
         )
     # Two-phase schedule: a sustained high-rate phase lets the spectral
     # penalty separate the regularized run from its pair, then the decay
@@ -160,8 +159,7 @@ def default_train_config(task: str, seed: int) -> trainer.TrainConfig:
     return trainer.TrainConfig(
         seed=seed, epochs=240, learning_rate=1e-2, optimizer="adam",
         regularizer="perlayer", lam1=0.01, lam2=0.01, reg_layers=(1, 2),
-        batch_size=32, head_loss="cross_entropy",
-        lr_decay=0.96, lr_decay_start=121,
+        batch_size=32, lr_decay=0.96, lr_decay_start=121,
     )
 
 
@@ -227,8 +225,6 @@ def _apply_overrides(config: trainer.TrainConfig, args) -> trainer.TrainConfig:
 def cmd_train(args) -> int:
     outdir = Path(args.outdir)
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
-    if args.epochs is not None and args.epochs <= 0:
-        raise CliError("--epochs must be positive")
     diverged = False
     runs = []
     for seed in seeds:

@@ -99,7 +99,7 @@ def snapshot(report: BoundReport, epoch: int, test_metric: float | None = None) 
             condition_number=row.condition_number,
             stable_rank=spec.stable_rank,
             layer_factor=(
-                None if spec.gram_logdet is None else koopman_layer_factor(spec, s)
+                None if row.variant_choice == "graph" else koopman_layer_factor(spec, s)
             ),
         )
         for row, spec, s in zip(report.layers, report.spectra, s_chain, strict=True)

@@ -22,23 +22,27 @@ class InfeasibleClassError(Exception):
     pass
 
 
+# the activation and head `verify.suite_dominance` computes the closed
+# form's ||K_sigma|| and ||g|| for; the bound does not depend on the biases
+ACTIVATION = SmoothLeakyRelu()
+HEAD = GaussianHead()
+BIAS_RADIUS = 1.0
+
+
 @dataclass(frozen=True)
 class FunctionClassSpec:
     """Networks with fixed architecture and spectrally constrained weights.
 
     constraint "inv": square W with ||W|| <= C and |det W| >= D.
     constraint "inj": d_out >= d_in with ||W|| <= C and det(W^T W)^(1/2) >= D.
-    Biases are sampled uniformly in a ball of radius bias_bound; the
-    bound itself does not depend on them.
+    Every member has the module's ACTIVATION between layers, its HEAD,
+    and biases uniform in the ball of radius BIAS_RADIUS.
     """
 
     widths: tuple[int, ...]
     constraint: str  # "inv" | "inj"
     C: float
     D: float
-    bias_bound: float = 1.0
-    head: GaussianHead = GaussianHead()
-    activation: SmoothLeakyRelu = SmoothLeakyRelu()
 
     def __post_init__(self):
         if self.C <= 0 or self.D <= 0:
@@ -124,12 +128,12 @@ def sample_networks(
     for j in range(len(spec.widths) - 1):
         cols, rows = spec.widths[j], spec.widths[j + 1]
         ws = _sample_weights(rng, rows, cols, spec.C, spec.D, count)
-        bs = _sample_bias(rng, rows, spec.bias_bound, count)
+        bs = _sample_bias(rng, rows, BIAS_RADIUS, count)
         params.append((ws, bs))
     return params
 
 
-def evaluate_networks(spec: FunctionClassSpec, params, points: np.ndarray):
+def evaluate_networks(params, points: np.ndarray):
     """Stacked forward pass: (count, n) matrix of head outputs."""
     z = np.asarray(points, dtype=float)
     L = len(params)
@@ -137,8 +141,8 @@ def evaluate_networks(spec: FunctionClassSpec, params, points: np.ndarray):
         z = z @ ws.transpose(0, 2, 1)
         z += bs[:, None, :]
         if j < L - 1:
-            z = spec.activation.value(z)
-    return np.exp(-spec.head.c * np.sum(z * z, axis=2))
+            z = ACTIVATION.value(z)
+    return np.exp(-HEAD.c * np.sum(z * z, axis=2))
 
 
 def _draw_seed(seed: int, draw: int) -> np.random.Generator:
@@ -169,7 +173,7 @@ def empirical_rademacher_lower(
         rng = _draw_seed(seed, draw)
         signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
         params = sample_networks(spec, rng, candidates)
-        values = evaluate_networks(spec, params, x)  # (candidates, n)
+        values = evaluate_networks(params, x)  # (candidates, n)
         total += float(np.max(values @ signs) / n)
     return total / draws
 

@@ -32,6 +32,7 @@ from .network import (
     NetworkSpec,
     SmoothLeakyRelu,
     SoftmaxHead,
+    default_smoothness,
 )
 
 
@@ -77,14 +78,18 @@ def _head_output(head, z: np.ndarray) -> np.ndarray:
 _LOSS_HEADS = {"squared": GaussianHead, "cross_entropy": SoftmaxHead}
 
 
-def _check_head_loss(head, head_loss: str) -> None:
-    if not isinstance(head, _LOSS_HEADS.get(head_loss, ())):
-        raise TrainerError(f"head loss {head_loss!r} does not pair with head {head!r}")
+def _head_loss(head) -> str:
+    """The loss `_LOSS_HEADS` pairs with the head; a head with none cannot be trained."""
+    for loss, head_type in _LOSS_HEADS.items():
+        if isinstance(head, head_type):
+            return loss
+    raise TrainerError(f"head {head!r} has no training loss")
 
 
 def _mean_loss(head, head_loss: str, out: np.ndarray, Y) -> float:
     """Mean loss of head outputs against real targets or integer labels."""
-    _check_head_loss(head, head_loss)
+    if head_loss != _head_loss(head):
+        raise TrainerError(f"head loss {head_loss!r} does not pair with head {head!r}")
     if head_loss == "squared":
         loss = float(np.mean((out - np.asarray(Y, dtype=float).reshape(-1)) ** 2))
     else:
@@ -237,7 +242,7 @@ def make_synthetic(n: int, seed: int) -> Dataset:
     )
 
 
-def load_digits(path=None) -> Dataset:
+def load_digits() -> Dataset:
     """Bundled 8x8 digits-style fixture: 1500 train / 300 test rows.
 
     Pixels are rescaled to [0, 1]; the held-out slots carry the test
@@ -245,13 +250,7 @@ def load_digits(path=None) -> Dataset:
     """
     import importlib.resources as resources
 
-    if path is None:
-        source = resources.files("koopbound").joinpath("data/digits.csv")
-        text = source.read_text()
-    else:
-        from pathlib import Path
-
-        text = Path(path).read_text()
+    text = resources.files("koopbound").joinpath("data/digits.csv").read_text()
     rows = text.strip().splitlines()[1:]
     data = np.array([[float(v) for v in line.split(",")] for line in rows])
     labels = data[:, 0].astype(int)
@@ -264,8 +263,10 @@ def load_digits(path=None) -> Dataset:
     )
 
 
-def gen_error_estimate(net: NetworkSpec, data: Dataset, head_loss: str = "squared") -> float:
-    """|mean held-out loss - mean training loss|, from one forward pass over each table."""
+def gen_error_estimate(net: NetworkSpec, data: Dataset) -> float:
+    """|mean held-out loss - mean training loss| under the head's loss, from one
+    forward pass over each table."""
+    head_loss = _head_loss(net.head)
     train_loss = _mean_loss(net.head, head_loss, forward(net, data.inputs), data.targets)
     held_loss = _mean_loss(
         net.head, head_loss, forward(net, data.held_inputs), data.held_targets
@@ -323,12 +324,12 @@ def build_network(
     inits = [init] * L if isinstance(init, str) else list(init)
     if len(inits) != L:
         raise TrainerError("need one init kind per layer")
-    s_prev = (widths[0] + 0.1) / 2.0
+    s_prev = default_smoothness(widths[0])
     s_in = s_prev
     layers = []
     for j in range(L):
         rows, cols = widths[j + 1], widths[j]
-        s_here = max((rows + 0.1) / 2.0, s_prev)
+        s_here = max(default_smoothness(rows), s_prev)
         layers.append(
             LayerSpec(
                 weight=init_weight(inits[j], rows, cols, rng),
@@ -362,7 +363,6 @@ class TrainConfig:
     lam2: float = 0.01
     reg_layers: tuple[int, ...] = (1, 2)  # 1-based, perlayer only
     batch_size: int | None = None  # None = full batch
-    head_loss: str = "squared"
 
     def __post_init__(self):
         try:
@@ -374,13 +374,15 @@ class TrainConfig:
             ints.append(self.batch_size)
         reals = [self.learning_rate, self.lr_decay, self.beta1, self.beta2, self.eps,
                  self.lam, self.lam1, self.lam2]
-        names = [self.optimizer, self.regularizer, self.head_loss]
+        names = [self.optimizer, self.regularizer]
+        # bool is an Integral, so a JSON true would otherwise pass as 1
         if not (all(isinstance(v, numbers.Integral) for v in ints)
                 and all(isinstance(v, numbers.Real) for v in reals)
+                and not any(isinstance(v, bool) for v in ints + reals)
                 and all(isinstance(v, str) for v in names)):
-            raise TrainerError("config field of the wrong type: optimizer, regularizer and "
-                               "head_loss take strings, seed, epochs, lr_decay_start, "
-                               "reg_layers and batch_size integers, the rest numbers")
+            raise TrainerError("config field of the wrong type: optimizer and regularizer "
+                               "take strings, seed, epochs, lr_decay_start, reg_layers "
+                               "and batch_size integers, the rest numbers")
         for ok, message in (
             (self.seed >= 0, "seed must be >= 0"),
             (self.epochs >= 1, "epochs must be >= 1"),
@@ -394,7 +396,6 @@ class TrainConfig:
             (self.optimizer in ("sgd", "adam"), f"unknown optimizer {self.optimizer!r}"),
             (self.regularizer in ("none", "synthetic", "perlayer"),
              f"unknown regularizer {self.regularizer!r}"),
-            (self.head_loss in _LOSS_HEADS, f"unknown head loss {self.head_loss!r}"),
             (self.batch_size is None or self.batch_size >= 1,
              "batch_size must be null (full batch) or >= 1"),
             (all(idx >= 1 for idx in self.reg_layers), "reg_layers are 1-based"),
@@ -488,7 +489,7 @@ def _apply_regularizer(net: NetworkSpec, config: TrainConfig, grads) -> None:
 
 def check_setup(config: TrainConfig, net: NetworkSpec) -> None:
     """The TrainerError that `train` would raise before epoch 1, if any."""
-    _check_head_loss(net.head, config.head_loss)
+    _head_loss(net.head)
     if config.regularizer == "perlayer" and max(config.reg_layers, default=0) > net.depth:
         raise TrainerError(f"reg_layers {config.reg_layers} exceed the depth {net.depth}")
     if config.regularizer == "synthetic":
@@ -505,7 +506,8 @@ def train(
 ) -> TrainRun:
     """Run the optimizer and log metrics, bound totals, and spectra per epoch.
 
-    Fully deterministic given config.seed: one generator drives batch
+    The loss is the one `_LOSS_HEADS` pairs with the net's head.  Fully
+    deterministic given config.seed: one generator drives batch
     shuffling, and the optimizer update order is fixed.  Each epoch is
     evaluated from one forward pass over the training inputs and one over
     the held-out inputs.  A non-finite loss or gradient, a layer that goes
@@ -516,6 +518,7 @@ def train(
     Sets the process's malloc thresholds (see _keep_freed_heap).
     """
     check_setup(config, net0)
+    head_loss = _head_loss(net0.head)
     _keep_freed_heap()
     net = copy.deepcopy(net0)
     rng = np.random.default_rng(config.seed)
@@ -537,7 +540,7 @@ def train(
 
     def step(batch_x, batch_y):
         nonlocal adam_t
-        _, grads = loss_and_grads(net, batch_x, batch_y, config.head_loss)
+        _, grads = loss_and_grads(net, batch_x, batch_y, head_loss)
         _apply_regularizer(net, config, grads)
         if config.optimizer == "sgd":
             for layer, (gw, gb) in zip(net.layers, grads):
@@ -572,8 +575,8 @@ def train(
                     step(dataset.inputs[idx], dataset.targets[idx])
             train_out = forward(net, dataset.inputs)
             held_out = forward(net, dataset.held_inputs)
-            train_loss = _mean_loss(net.head, config.head_loss, train_out, dataset.targets)
-            held_loss = _mean_loss(net.head, config.head_loss, held_out, dataset.held_targets)
+            train_loss = _mean_loss(net.head, head_loss, train_out, dataset.targets)
+            held_loss = _mean_loss(net.head, head_loss, held_out, dataset.held_targets)
             report = bounds_mod.full_report(net, constants)
             test_acc = _accuracy(held_out, dataset.held_targets) if classification else None
             snap = diagnostics.snapshot(report, epoch, test_metric=test_acc)

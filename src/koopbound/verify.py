@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import kernels, rademacher, trainer
-from .network import GaussianHead, SmoothLeakyRelu
+from .network import GaussianHead, default_smoothness
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -46,7 +46,7 @@ def suite_lemma1(
         w = rng.standard_normal((d, d))
         target = float(rng.uniform(0.1, 10.0))
         w *= target / bounds_mod.operator_norm(w)
-        s = (d + 0.1) / 2.0
+        s = default_smoothness(d)
         closed = bounds_mod.density_ratio_bound(w, s)
         if inject_error:
             closed *= 0.5
@@ -77,11 +77,11 @@ def suite_dominance(
     """MC lower estimates stay strictly below the closed-form class bound."""
     n = 20
     d = 2
-    s = (d + 0.1) / 2.0
+    s = default_smoothness(d)
     C, D = 1.5, 0.5
     B = kernels.kernel_trace_bound(d, s)
-    g_norm = kernels.gaussian_head_norm(d, s, 1.0)
-    sigma_norm = bounds_mod.activation_opnorm_bound(SmoothLeakyRelu(), d)
+    g_norm = kernels.gaussian_head_norm(d, s, rademacher.HEAD.c)
+    sigma_norm = bounds_mod.activation_opnorm_bound(rademacher.ACTIVATION, d)
     points = np.random.default_rng(1234).standard_normal((n, d))
     checks = []
     for depth in (1, 2):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from koopbound.rademacher import BIAS_RADIUS
+
 
 def cofactor_det(m) -> float:
     """Determinant by recursive cofactor expansion along the first row."""
@@ -150,6 +152,6 @@ def sample_networks_lapack(spec, rng, count, cap: int = 100_000):
             need -= min(need, good.shape[0])
         g = rng.standard_normal((count, rows))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = spec.bias_bound * rng.random(count) ** (1.0 / rows)
+        r = BIAS_RADIUS * rng.random(count) ** (1.0 / rows)
         params.append((np.concatenate(accepted, axis=0), g * r[:, None]))
     return params

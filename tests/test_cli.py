@@ -395,12 +395,24 @@ class TestTrainCommand:
         ("synthetic", {"lam": math.nan}),
         ("digits", {"lam1": math.inf}),
         ("digits", {"lam2": -1.0}),
+        ("synthetic", {"epochs": True}),
+        ("synthetic", {"learning_rate": True}),
+        ("synthetic", {"batch_size": True}),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, task, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         code = run_cli(
             "train", "--task", task, "--config", str(cfg),
+            "--outdir", str(tmp_path / "run"),
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_epochs_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "train", "--task", "synthetic", "--epochs", "0",
             "--outdir", str(tmp_path / "run"),
         )
         assert code == cli.EXIT_USAGE

@@ -55,7 +55,7 @@ class TestSampling:
         sigma1 = np.linalg.norm(ws, ord=2, axis=(1, 2))
         assert np.all(sigma1 <= 1.5 + 1e-12)
         assert np.all(np.abs(np.linalg.det(ws)) >= 0.5 - 1e-12)
-        assert np.all(np.linalg.norm(bs, axis=1) <= spec.bias_bound + 1e-12)
+        assert np.all(np.linalg.norm(bs, axis=1) <= rademacher.BIAS_RADIUS + 1e-12)
 
     def test_injective_constraint_rectangular(self):
         spec = FunctionClassSpec(widths=(2, 3), constraint="inj", C=1.5, D=0.5)
@@ -74,7 +74,7 @@ class TestSampling:
         spec = FunctionClassSpec(widths=(2, 2), constraint="inv", C=1.5, D=0.5)
         rng = np.random.default_rng(3)
         params = sample_networks(spec, rng, 20)
-        vals = evaluate_networks(spec, params, rng.standard_normal((6, 2)))
+        vals = evaluate_networks(params, rng.standard_normal((6, 2)))
         assert vals.shape == (20, 6)
         assert np.all(vals > 0) and np.all(vals <= 1)
 
@@ -135,13 +135,13 @@ class TestSameStream:
         rng = np.random.default_rng(11)
         params = sample_networks(spec, rng, 25)
         pts = rng.standard_normal((7, widths[0]))
-        got = evaluate_networks(spec, params, pts)
-        act = spec.activation
+        got = evaluate_networks(params, pts)
+        act = rademacher.ACTIVATION
         want = [
             [
                 oracles.forward_reference(
                     [ws[k] for ws, _ in params], [bs[k] for _, bs in params],
-                    act.alpha, act.mu, x, spec.head.c,
+                    act.alpha, act.mu, x, rademacher.HEAD.c,
                 )
                 for x in pts
             ]

@@ -10,6 +10,7 @@ from koopbound import trainer as trainer_mod
 from koopbound.matcore import RankDeficientError
 from koopbound.network import (
     CustomActivation,
+    CustomHead,
     GaussianHead,
     SmoothLeakyRelu,
     SoftmaxHead,
@@ -21,6 +22,7 @@ from koopbound.trainer import (
     TrainConfig,
     TrainerError,
     build_network,
+    check_setup,
     classification_accuracy,
     forward,
     gen_error_estimate,
@@ -145,8 +147,11 @@ class TestLossGradients:
         net = build_network([3, 3, 6], GaussianHead(), seed=0)
         with pytest.raises(TrainerError):
             loss_and_grads(net, np.ones((2, 3)), np.array([0, 1]), "cross_entropy")
-        with pytest.raises(TrainerError):
-            train(TrainConfig(epochs=1, head_loss="cross_entropy"), make_synthetic(20, seed=0), net)
+
+    def test_head_without_loss_fails_setup(self):
+        net = build_network([3, 3, 6], CustomHead("poly"), seed=0)
+        with pytest.raises(TrainerError, match="has no training loss"):
+            check_setup(TrainConfig(epochs=1), net)
 
     def test_custom_activation_not_trainable(self):
         net = build_network([3, 3, 6], GaussianHead(), seed=0)
@@ -320,7 +325,7 @@ class TestConfigValidation:
             TrainConfig(lr_decay_start=0)
 
     @pytest.mark.parametrize("field,value", [
-        ("head_loss", "hinge"),
+        ("epochs", True),
         ("regularizer", "l2"),
         ("batch_size", 0),
         ("batch_size", -4),
@@ -332,6 +337,8 @@ class TestConfigValidation:
         ("optimizer", ["sgd"]),
         ("learning_rate", float("nan")),
         ("seed", -1),
+        ("learning_rate", True),
+        ("batch_size", True),
     ])
     def test_malformed_field_rejected(self, field, value):
         with pytest.raises(TrainerError):
@@ -373,7 +380,7 @@ class TestRankCollapse:
             init=["orthogonal", "orthogonal", "truncated_normal"],
         )
         net.layers[1].weight *= 1e-6
-        cfg = TrainConfig(epochs=1, learning_rate=0.0, head_loss="cross_entropy")
+        cfg = TrainConfig(epochs=1, learning_rate=0.0)
         run = train(cfg, load_digits(), net, classification=True)
         assert run.diverged
         assert run.metrics == [] and run.spectrum.epochs == []
@@ -500,17 +507,18 @@ class TestEpochEvaluation:
                            rng.random((60, 8)), rng.integers(0, 4, 60))
             net = build_network([8, 12, 4], SoftmaxHead(), seed=2)
             cfg = TrainConfig(epochs=3, learning_rate=0.01, optimizer="adam",
-                              regularizer="perlayer", reg_layers=(1,), batch_size=32,
-                              head_loss="cross_entropy")
+                              regularizer="perlayer", reg_layers=(1,), batch_size=32)
+            head_loss = "cross_entropy"
         else:
             data = make_synthetic(200, seed=1)
             net = build_network([3, 3, 6], GaussianHead(), seed=1)
             cfg = TrainConfig(epochs=3, regularizer="synthetic", batch_size=50)
+            head_loss = "squared"
         run = train(cfg, data, net, classification=classify)
         last = run.metrics[-1]
-        loss, _ = loss_and_grads(run.net, data.inputs, data.targets, cfg.head_loss)
+        loss, _ = loss_and_grads(run.net, data.inputs, data.targets, head_loss)
         assert last.train_loss == loss
-        assert last.gen_error == gen_error_estimate(run.net, data, cfg.head_loss)
+        assert last.gen_error == gen_error_estimate(run.net, data)
         if classify:
             acc = classification_accuracy(run.net, data.held_inputs, data.held_targets)
             assert last.test_accuracy == acc
