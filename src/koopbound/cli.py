@@ -208,6 +208,8 @@ def _apply_overrides(config: trainer.TrainConfig, args) -> trainer.TrainConfig:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliError(f"--config: {exc}") from exc
+        except RecursionError as exc:
+            raise CliError(f"--config: JSON nested too deeply ({exc})") from exc
         if not isinstance(doc, dict):
             raise CliError("--config: expected a JSON object")
         fields = {f.name for f in dataclasses.fields(trainer.TrainConfig)}

@@ -17,8 +17,15 @@ from . import kernels, rademacher, trainer
 from .network import GaussianHead, default_smoothness
 
 
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
+def _check(name: str, passed: bool, detail: str, **values: float) -> dict:
+    """One check's verdict: `detail` gives its numbers as rounded text, and
+    `values` at full precision, a non-finite one as None (strict JSON)."""
+    return {
+        "name": name,
+        "passed": bool(passed),
+        "detail": detail,
+        "values": {k: float(v) if math.isfinite(v) else None for k, v in values.items()},
+    }
 
 
 def _verdict(suite: str, checks: list[dict]) -> dict:
@@ -59,6 +66,7 @@ def suite_lemma1(
             "density-ratio closed form dominates sampled supremum",
             worst_gap <= 1e-9,
             f"worst sampled-minus-closed gap {worst_gap:.3e} (tolerance 1e-9)",
+            worst_gap=worst_gap,
         )
     )
     checks.append(
@@ -66,6 +74,7 @@ def suite_lemma1(
             "sampled supremum reaches 99% of closed form for expanding maps",
             worst_cover >= 0.99,
             f"worst coverage ratio {worst_cover:.6f}",
+            worst_cover=worst_cover,
         )
     )
     return _verdict("lemma1", checks)
@@ -98,6 +107,7 @@ def suite_dominance(
                     f"L={depth} seed={seed}: MC lower < closed-form bound",
                     lower < upper,
                     f"lower={lower:.6f}, upper={upper:.6f}",
+                    lower=lower, upper=upper,
                 )
             )
     return _verdict("dominance", checks)
@@ -154,6 +164,7 @@ def suite_gradients(seed: int = 0) -> dict:
                 f"loss gradients {widths}",
                 worst < 1e-4,
                 f"worst relative error {worst:.3e} (tolerance 1e-4)",
+                worst=worst,
             )
         )
     # regularizers, skipping nearly repeated top singular values
@@ -178,6 +189,7 @@ def suite_gradients(seed: int = 0) -> dict:
             "per-layer regularizer gradient",
             worst < 1e-3,
             f"worst relative error {worst:.3e} (tolerance 1e-3)",
+            worst=worst,
         )
     )
     return _verdict("gradients", checks)
@@ -202,6 +214,7 @@ def suite_kernels(seed: int = 0) -> dict:
             "kernel diagonal closed form vs radial quadrature",
             worst < 1e-6,
             f"worst relative error {worst:.3e} (tolerance 1e-6)",
+            worst=worst,
         )
     )
     worst = 0.0
@@ -214,6 +227,7 @@ def suite_kernels(seed: int = 0) -> dict:
             "d=1 s=1 kernel equals pi*exp(-|x-y|)",
             worst < 1e-6,
             f"worst relative error {worst:.3e} (tolerance 1e-6)",
+            worst=worst,
         )
     )
     rng = np.random.default_rng(seed)
@@ -229,6 +243,7 @@ def suite_kernels(seed: int = 0) -> dict:
             "Gram matrices positive semi-definite",
             min_eig >= -1e-8,
             f"minimum eigenvalue {min_eig:.3e} (tolerance -1e-8)",
+            min_eigenvalue=min_eig,
         )
     )
     return _verdict("kernels", checks)

@@ -88,7 +88,8 @@ def network_to_json_dict(net: NetworkSpec) -> dict:
 
 
 # what malformed values raise while a document is turned into a network
-_PARSE_ERRORS = (AttributeError, TypeError, ValueError, MatCoreError)
+# (OverflowError: an infinite row count, or an integer beyond float64)
+_PARSE_ERRORS = (AttributeError, TypeError, ValueError, OverflowError, MatCoreError)
 
 
 def _layer_from_json(j: int, rec) -> LayerSpec:
@@ -146,6 +147,8 @@ def load_weights(path) -> NetworkSpec:
         raise WeightFileError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     except UnicodeDecodeError as exc:
         raise WeightFileError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise WeightFileError(f"{path}: JSON nested too deeply ({exc})") from exc
     try:
         return network_from_json_dict(doc)
     except ValidationError as exc:

@@ -1,15 +1,20 @@
 """Command-line surface: exit codes, artifact schemas, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koopbound import bounds, cli, trainer, weightio
 from koopbound.matcore import RankDeficientError
@@ -23,6 +28,13 @@ def weightfile(tmp_path):
     path = tmp_path / "net.json"
     weightio.save_weights(net, path)
     return str(path)
+
+
+def _digits_net():
+    return build_network(
+        [64, 128, 128, 10], SoftmaxHead(), seed=0,
+        init=["orthogonal", "orthogonal", "truncated_normal"],
+    )
 
 
 def run_cli(*argv):
@@ -62,6 +74,22 @@ class TestUsageErrors:
         assert run_cli(*argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["bound", "inspect", "train"])
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, command):
+        """200 000 nested arrays exceed the JSON decoder's recursion limit."""
+        path = tmp_path / "F"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        argv = {
+            "bound": ["bound", str(path), "--n", "10"],
+            "inspect": ["inspect", str(path)],
+            "train": ["train", "--task", "synthetic", "--config", str(path),
+                      "--outdir", str(tmp_path / "run")],
+        }[command]
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err
         assert not (tmp_path / "run").exists()
 
     def test_unknown_variant(self, weightfile, capsys):
@@ -109,6 +137,110 @@ def test_malformed_weight_file_exits_2(tmp_path, capsys, edit):
     for argv in (("bound", str(path), "--n", "100"), ("inspect", str(path))):
         assert run_cli(*argv) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _weight_file_slots(doc: dict) -> list[tuple]:
+    """Paths to every field of a weight-file document; "i" stands for an
+    element of a weights or bias array."""
+    slots = [(key,) for key in doc] + [("head", key) for key in doc["head"]]
+    slots += [("head", "params", key) for key in doc["head"]["params"]]
+    for j, rec in enumerate(doc["layers"]):
+        slots += [("layers", j)] + [("layers", j, key) for key in rec]
+        slots += [("layers", j, "weights", "i"), ("layers", j, "bias", "i")]
+        slots += [("layers", j, "activation", key) for key in rec["activation"]]
+        slots += [("layers", j, "activation", "params", key)
+                  for key in rec["activation"]["params"]]
+    return slots
+
+
+def _nested(depth: int):
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_DIGITS_DOC = json.dumps(weightio.network_to_json_dict(_digits_net()))
+_BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
+    st.sampled_from([[], {}, {"kind": "gaussian"}, math.nan, math.inf, -math.inf,
+                     1e308, -1e308, 0.0, 10**400]),
+    st.sampled_from([3, 70, 800]).map(_nested),
+)
+# (slot, element index, action, value): replace the value, delete it, or
+# make it ragged by wrapping it in a list with a copy of itself
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(_weight_file_slots(json.loads(_DIGITS_DOC))),
+        st.integers(0, 1 << 20),
+        st.sampled_from(["replace", "delete", "ragged"]),
+        _BAD_VALUES,
+    ),
+    max_size=3,
+)
+# (action, where as a fraction of the file, nesting depth): keep the bytes,
+# cut them short, insert a non-UTF-8 byte, or wrap them in nested arrays
+_CORRUPTIONS = st.tuples(
+    st.sampled_from(["none", "cut", "bad_utf8", "wrap"]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1, 500, 200_000]),
+)
+
+
+def _mutate(doc: dict, slot: tuple, index: int, action: str, value) -> None:
+    *parents, key = slot
+    node = doc
+    try:
+        for part in parents:
+            node = node[part]
+        if key == "i":
+            key = index % len(node)
+        node[key]
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError):
+        return  # an earlier mutation removed or replaced a parent of the slot
+    if action == "delete":
+        del node[key]
+    elif action == "ragged":
+        node[key] = [node[key], node[key]]
+    else:
+        node[key] = value
+
+
+def _corrupt(raw: bytes, action: str, where: float, depth: int) -> bytes:
+    at = int(where * len(raw))
+    if action == "cut":
+        return raw[:at]
+    if action == "bad_utf8":
+        return raw[:at] + b"\xff" + raw[at:]
+    if action == "wrap":
+        return b"[" * depth + raw + b"]" * depth
+    return raw
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mutations=_MUTATIONS, corruption=_CORRUPTIONS)
+@example(mutations=[], corruption=("wrap", 0.0, 200_000))
+@example(mutations=[(("layers", 0, "rows"), 0, "replace", math.inf)], corruption=("none", 0.0, 1))
+@example(mutations=[(("layers", 1, "weights", "i"), 7, "replace", 10**400)],
+         corruption=("none", 0.0, 1))
+@example(mutations=[(("s_in",), 0, "replace", 10**400)], corruption=("none", 0.0, 1))
+def test_mutated_weight_file_never_raises(mutations, corruption):
+    """bound and inspect on a mutated digits-shape weight file exit 0, or 2
+    with an `error:` line; any exception fails the example."""
+    doc = json.loads(_DIGITS_DOC)
+    for mutation in mutations:
+        _mutate(doc, *mutation)
+    raw = _corrupt(json.dumps(doc).encode(), *corruption)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        path.write_bytes(raw)
+        for argv in (("bound", str(path), "--n", "1500"), ("inspect", str(path))):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run_cli(*argv)
+            assert code in (0, cli.EXIT_USAGE)
+            if code == cli.EXIT_USAGE:
+                assert err.getvalue().startswith("error: ")
 
 
 class TestBoundCommand:
@@ -186,13 +318,6 @@ class TestInspectCommand:
         weightio.save_weights(net, path)
         assert run_cli("inspect", str(path)) == 0
         assert "rank deficient" in capsys.readouterr().out
-
-
-def _digits_net():
-    return build_network(
-        [64, 128, 128, 10], SoftmaxHead(), seed=0,
-        init=["orthogonal", "orthogonal", "truncated_normal"],
-    )
 
 
 def _cut_to_rank_64(w):

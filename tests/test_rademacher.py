@@ -114,7 +114,7 @@ class TestSameStream:
     """The sampler keeps the RNG stream and the class of the LAPACK filter."""
 
     @pytest.mark.parametrize("widths,constraint", [
-        ((2, 2, 2), "inv"), ((2, 3), "inj"), ((3, 3), "inv"),
+        ((2, 2, 2), "inv"), ((2, 3), "inj"), ((3, 3), "inv"), ((2, 9), "inj"),
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_draws_as_lapack_filter(self, widths, constraint, seed):
@@ -127,15 +127,21 @@ class TestSameStream:
             np.testing.assert_allclose(ws, ws_ref, rtol=1e-12, atol=0)
             np.testing.assert_allclose(bs, bs_ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("widths,constraint", [
-        ((2, 2), "inv"), ((2, 2, 2), "inv"), ((2, 3, 4), "inj"),
+    @pytest.mark.parametrize("widths,constraint,count,n", [
+        pytest.param((2, 2), "inv", 25, 7, id="widths0-inv"),
+        pytest.param((2, 2, 2), "inv", 25, 7, id="widths1-inv"),
+        pytest.param((2, 3, 4), "inj", 25, 7, id="widths2-inj"),
+        pytest.param((3, 3, 3), "inv", 25, 7, id="widths3-inv"),
+        pytest.param((2, 2, 2), "inv", 1, 7, id="one-candidate"),
+        pytest.param((2, 3, 4), "inj", 25, 1, id="one-point"),
     ])
-    def test_evaluate_matches_per_candidate_loop(self, widths, constraint):
+    def test_evaluate_matches_per_candidate_loop(self, widths, constraint, count, n):
         spec = FunctionClassSpec(widths=widths, constraint=constraint, C=1.5, D=0.5)
         rng = np.random.default_rng(11)
-        params = sample_networks(spec, rng, 25)
-        pts = rng.standard_normal((7, widths[0]))
+        params = sample_networks(spec, rng, count)
+        pts = rng.standard_normal((n, widths[0]))
         got = evaluate_networks(params, pts)
+        assert got.shape == (count, n)
         act = rademacher.ACTIVATION
         want = [
             [
@@ -145,7 +151,7 @@ class TestSameStream:
                 )
                 for x in pts
             ]
-            for k in range(25)
+            for k in range(count)
         ]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 

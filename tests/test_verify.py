@@ -1,10 +1,14 @@
 """Self-check suites: pass on a healthy build, fail loudly when corrupted."""
 
+import json
+
 import pytest
 
 from koopbound.verify import (
     SUITES,
     run_suites,
+    suite_dominance,
+    suite_gradients,
     suite_kernels,
     suite_lemma1,
 )
@@ -46,10 +50,53 @@ class TestRunSuites:
         assert [s["suite"] for s in result["suites"]] == ["kernels"]
         for suite in result["suites"]:
             for check in suite["checks"]:
-                assert set(check) == {"name", "passed", "detail"}
+                assert set(check) == {"name", "passed", "detail", "values"}
 
     def test_each_suite_reports_elapsed_time(self):
         result = run_suites(["kernels", "lemma1"])
         for suite in result["suites"]:
             assert isinstance(suite["elapsed_s"], float)
             assert suite["elapsed_s"] >= 0.0
+
+
+class TestCheckValues:
+    """Each check carries its numbers at full precision next to the text."""
+
+    def test_value_names_per_suite(self):
+        verdicts = {
+            "lemma1": suite_lemma1(num_matrices=15, seed=3),
+            "dominance": suite_dominance(draws=3, candidates=20, seeds=(0,)),
+            "gradients": suite_gradients(),
+            "kernels": suite_kernels(),
+        }
+        names = {
+            suite: [sorted(c["values"]) for c in v["checks"]] for suite, v in verdicts.items()
+        }
+        assert names == {
+            "lemma1": [["worst_gap"], ["worst_cover"]],
+            "dominance": [["lower", "upper"]] * 2,
+            "gradients": [["worst"]] * 3,
+            "kernels": [["worst"], ["worst"], ["min_eigenvalue"]],
+        }
+        for verdict in verdicts.values():
+            for check in verdict["checks"]:
+                assert all(isinstance(x, float) for x in check["values"].values())
+
+    def test_detail_text_formats_the_values(self):
+        for check in suite_dominance(draws=3, candidates=20, seeds=(0, 1))["checks"]:
+            v = check["values"]
+            assert check["detail"] == f"lower={v['lower']:.6f}, upper={v['upper']:.6f}"
+            assert check["passed"] == (v["lower"] < v["upper"])
+        gap, cover = suite_lemma1(num_matrices=15, seed=3)["checks"]
+        worst_gap = gap["values"]["worst_gap"]
+        assert gap["detail"] == f"worst sampled-minus-closed gap {worst_gap:.3e} (tolerance 1e-9)"
+        assert cover["detail"] == f"worst coverage ratio {cover['values']['worst_cover']:.6f}"
+
+    def test_non_finite_value_is_null_in_strict_json(self):
+        # seed 35 draws one map of norm 0.109: none expands, so the coverage stays +inf
+        verdict = suite_lemma1(num_matrices=1, seed=35)
+        cover = verdict["checks"][1]
+        assert cover["detail"] == "worst coverage ratio inf"
+        assert cover["values"] == {"worst_cover": None}
+        text = json.dumps(verdict, allow_nan=False)
+        assert json.loads(text)["checks"][1]["values"]["worst_cover"] is None
