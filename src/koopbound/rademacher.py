@@ -134,15 +134,26 @@ def sample_networks(
 
 
 def evaluate_networks(params, points: np.ndarray):
-    """Stacked forward pass: (count, n) matrix of head outputs."""
-    z = np.asarray(points, dtype=float)
-    L = len(params)
-    for j, (ws, bs) in enumerate(params):
-        z = z @ ws.transpose(0, 2, 1)
-        z += bs[:, None, :]
-        if j < L - 1:
-            z = ACTIVATION.value(z)
-    return np.exp(-HEAD.c * np.sum(z * z, axis=2))
+    """Stacked forward pass: (count, n) matrix of head outputs.
+
+    Activations are kept as (count, width, n).  Every member takes the
+    same points, so the first layer is one GEMM over the whole stack;
+    later layers are one batched matmul each.  The head's squared norm
+    adds the output rows one at a time, which for widths below 8 is the
+    order np.sum uses.
+    """
+    x = np.asarray(points, dtype=float)
+    ws, bs = params[0]
+    count, rows, cols = ws.shape
+    z = (ws.reshape(count * rows, cols) @ x.T).reshape(count, rows, x.shape[0])
+    z += bs[:, :, None]
+    for ws, bs in params[1:]:
+        z = ws @ ACTIVATION.value(z)
+        z += bs[:, :, None]
+    sq = z[:, 0] * z[:, 0]
+    for k in range(1, z.shape[1]):
+        sq += z[:, k] * z[:, k]
+    return np.exp(-HEAD.c * sq)
 
 
 def _draw_seed(seed: int, draw: int) -> np.random.Generator:
