@@ -14,7 +14,9 @@ Runs, in process and from the checkout's own `src`:
 - the `verify.suite_lemma1()` and
   `verify.suite_dominance(draws=20, candidates=500, seeds=(0,))`
   verdicts as JSON (verify.lemma1.json, verify.dominance.json); the
-  verdicts carry no timings, so they compare byte for byte.
+  verdicts carry no timings, so they compare byte for byte, and each
+  check's `values` holds its numbers at full precision, so
+  `golden_diff.py` sees an MC estimate drift down to its 1e-12 limit.
 
 Each train run leaves metrics.csv, spectrum.csv, weights.json and
 bound_vs_generror.svg in its own subdirectory.  Run it on two checkouts

@@ -19,6 +19,10 @@ stable_rank, koopman_factor, test_metric.
 Bound CSV: one row per (layer, variant) factor plus per-variant total
 rows; columns layer, variant, factor, sigma_max, sigma_min, cond,
 numeric_rank.  Bound JSON is strict: a non-finite float is written "inf".
+
+Verify JSON: {passed, suites: [{suite, passed, checks: [{name, passed,
+detail, values}], elapsed_s}]}; `values` holds the check's numbers at
+full precision, a non-finite one as null.
 """
 
 from __future__ import annotations

@@ -196,8 +196,10 @@ def _mutate(doc: dict, slot: tuple, index: int, action: str, value) -> None:
         if key == "i":
             key = index % len(node)
         node[key]
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError):
+    except (KeyError, IndexError, TypeError, ZeroDivisionError):
         return  # an earlier mutation removed or replaced a parent of the slot
+    if isinstance(node, str):
+        return  # a parent was replaced by a string, which cannot be edited
     if action == "delete":
         del node[key]
     elif action == "ragged":
