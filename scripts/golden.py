@@ -9,6 +9,7 @@ Runs, in process and from the checkout's own `src`:
 - `train` digits, seed 0, 2 epochs, with and without the regularizer;
 - a rank-deficient 3-3-6 Gaussian-head net (seed 0, layer 1 replaced by
   the rank-1 outer([1, 2, 0.5], [1, 0, 1])), saved as rank1/weights.json;
+- the same seed-0 net with layer 2 all zeros, saved as zero2/weights.json;
 - for each weights.json so written: the `bound` report as JSON and as
   CSV (n = 1000), and the `inspect` table (stdout) and its CSV;
 - the `verify.suite_lemma1()` and
@@ -65,9 +66,14 @@ def run(outdir: str) -> int:
     # the inspect "rank deficient" label
     rank1 = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)
     rank1.layers[0].weight = np.outer([1.0, 2.0, 0.5], [1.0, 0.0, 1.0])
-    (out / "rank1").mkdir(exist_ok=True)
-    weightio.save_weights(rank1, out / "rank1" / "weights.json")
-    for name in [*TRAIN_RUNS, "rank1"]:
+    # the neyshabur18 and bartlett17 markers, neyshabur15 and golowich18
+    # at 0, and the zero Frobenius tail of the combined bound
+    zero2 = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)
+    zero2.layers[1].weight = np.zeros((6, 3))
+    for name, net in (("rank1", rank1), ("zero2", zero2)):
+        (out / name).mkdir(exist_ok=True)
+        weightio.save_weights(net, out / name / "weights.json")
+    for name in [*TRAIN_RUNS, "rank1", "zero2"]:
         weights = str(out / name / "weights.json")
         for fmt in ("json", "csv"):
             worst = max(worst, cli_main([

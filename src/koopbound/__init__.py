@@ -44,19 +44,11 @@ from .bounds import (
     g_factor_gaussian,
     activation_opnorm_bound,
     choose_variant,
-    bound_invertible,
     bound_injective,
-    bound_graph,
-    bound_weighted,
     bound_combined,
     bound_combined_best,
-    bound_neyshabur15,
-    bound_neyshabur18,
-    bound_golowich18,
-    bound_bartlett17,
     default_constants,
     BoundReport,
-    matrix_factor_product,
     full_report,
 )
 from .diagnostics import (
@@ -85,8 +77,6 @@ from .rademacher import (
     FunctionClassSpec,
     sample_networks,
     empirical_rademacher_lower,
-    rademacher_exact,
-    rkhs_ball_rademacher,
     class_upper_bound,
 )
 from .weightio import WeightFileError, save_weights, load_weights

@@ -12,18 +12,23 @@ with s the smoothness of the layer's *input* space, G the isotropy factor
 of the downstream function, and W_r the restriction of W to the
 orthogonal complement of its kernel.  The combined bound splices a
 Koopman prefix of length l with a Frobenius-product peeling tail
-2^(L-l) * prod ||W_j||_F.  Table-style competitor bounds are implemented
-verbatim for comparison.
+2^(L-l) * prod ||W_j||_F.  The norm-based competitor bounds are
+implemented verbatim for comparison, bartlett17 with zero references.
+
+`full_report(net, c)` is the one way to ask for every total; only
+`bound_injective`, `bound_combined` and `bound_combined_best` also give
+single totals, from the same factor table.
 
 Each of these factors depends on W only through its singular values, so
 a layer's spectrum is computed once (`matcore.LayerSpectrum`) and every
-factor is a function of it.  `_factor_table` is the one definition of the
-four per-layer factors, and it holds their natural logs, read from the
-spectrum's log-determinants: ||W||^s and det(W^T W)^(1/4) each grow like
-sigma^width, and only their ratio is formed, so a (scaled-)orthogonal
-layer contributes log 1 = 0 whatever its width.  A variant's total is
-exp(log prefactor + sum of its per-layer logs), exponentiated once; the
-report's per-layer factors are the exponentials of the table's entries.
+factor, and every competitor but bartlett17's (2,1)-norm, reads it.
+`_factor_table` is the one definition of the four per-layer factors, and
+it holds their natural logs, read from the spectrum's log-determinants:
+||W||^s and det(W^T W)^(1/4) each grow like sigma^width, and only their
+ratio is formed, so a (scaled-)orthogonal layer contributes log 1 = 0
+whatever its width.  A variant's total is exp(log prefactor + sum of its
+per-layer logs), exponentiated once; the report's per-layer factors are
+the exponentials of the table's entries.
 `koopman_layer_factor` is the constants-free part of the injective
 entry, from the same log helper.  `density_ratio_grid_sup` is the
 sampled oracle for the density-ratio closed form, on a fixed radius grid.
@@ -315,29 +320,9 @@ def _spectra_and_table(net: NetworkSpec, c: BoundConstants, spectra=None):
     return spectra, _factor_table(spectra, net.smoothness_chain(), c)
 
 
-def bound_invertible(net: NetworkSpec, c: BoundConstants) -> float:
-    """Theorem-style bound for square invertible layers."""
-    return _variant_total("invertible", *_spectra_and_table(net, c), c)
-
-
 def bound_injective(net: NetworkSpec, c: BoundConstants) -> float:
     """Bound for tall full-column-rank layers, with isotropy factors G_j."""
     return _variant_total("injective", *_spectra_and_table(net, c), c)
-
-
-def bound_graph(net: NetworkSpec, c: BoundConstants) -> float:
-    """Graph-lift bound, finite for any W (rank-deficient included).
-
-    The norm of the lifted head is not computable from the weights; the
-    caller's g_norm is used and the total is flagged "modulo psi-norm"
-    in reports.
-    """
-    return _variant_total("graph", *_spectra_and_table(net, c), c)
-
-
-def bound_weighted(net: NetworkSpec, c: BoundConstants) -> float:
-    """Weighted-composition bound using determinants restricted to ker(W)^perp."""
-    return _variant_total("weighted", *_spectra_and_table(net, c), c)
 
 
 def _feasible_prefix_length(spectra: list[LayerSpectrum]) -> int:
@@ -399,9 +384,9 @@ def bound_combined_best(
 # competitor bounds (norm-based rates, implemented verbatim)
 
 
-def bound_neyshabur15(net: NetworkSpec, n: int) -> float:
-    prod = math.prod(pq_norm(layer.weight, 2, 2) for layer in net.layers)
-    return 2.0 ** net.depth * prod / math.sqrt(n)
+def _neyshabur15(spectra: list[LayerSpectrum], n: int) -> float:
+    prod = math.prod(spec.fro_norm for spec in spectra)
+    return 2.0 ** len(spectra) * prod / math.sqrt(n)
 
 
 def _neyshabur18(spectra: list[LayerSpectrum], n: int) -> float:
@@ -415,38 +400,23 @@ def _neyshabur18(spectra: list[LayerSpectrum], n: int) -> float:
     return len(spectra) * max_width * prod * math.sqrt(ratio_sum) / math.sqrt(n)
 
 
-def bound_neyshabur18(net: NetworkSpec, n: int) -> float:
-    return _neyshabur18(layer_spectra(net), n)
+def _golowich18(spectra: list[LayerSpectrum], n: int) -> float:
+    prod = math.prod(spec.fro_norm for spec in spectra)
+    return prod * min(n ** -0.25, math.sqrt(len(spectra) / n))
 
 
-def bound_golowich18(net: NetworkSpec, n: int) -> float:
-    L = net.depth
-    prod = math.prod(pq_norm(layer.weight, 2, 2) for layer in net.layers)
-    return prod * min(n ** -0.25, math.sqrt(L / n))
-
-
-def _bartlett17(net: NetworkSpec, spectra, n: int, refs=None) -> float:
-    if refs is None:
-        refs = [np.zeros_like(l.weight) for l in net.layers]
-    if len(refs) != net.depth:
-        raise InvalidParameterError("need one reference matrix per layer")
+def _bartlett17(net: NetworkSpec, spectra, n: int) -> float:
+    """Spectral product times the (2,1)-norm sum, from zero reference matrices."""
     if any(spec.op_norm == 0.0 for spec in spectra):
         raise VariantInapplicable(
             "zero operator norm makes the discrepancy ratio undefined"
         )
     disc_sum = 0.0
-    for layer, spec, a in zip(net.layers, spectra, refs):
-        disc = pq_norm(layer.weight.T - np.asarray(a, dtype=float).T, 2, 1)
+    for layer, spec in zip(net.layers, spectra):
+        disc = pq_norm(layer.weight.T, 2, 1)
         disc_sum += disc ** (2.0 / 3.0) / spec.op_norm ** (2.0 / 3.0)
     prod = math.prod(spec.op_norm for spec in spectra)
     return prod / math.sqrt(n) * disc_sum ** 1.5
-
-
-def bound_bartlett17(
-    net: NetworkSpec, n: int, refs: list[np.ndarray] | None = None
-) -> float:
-    """Spectral product times the (2,1)-discrepancy sum from reference matrices."""
-    return _bartlett17(net, layer_spectra(net), n, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -600,22 +570,14 @@ class BoundReport:
 
 
 def _matrix_factor(spectra, s_chain) -> float:
+    """Constants-free spectral product prod_j ||W_j||^s / det(W^T W)^(1/4),
+    with s the layer's own smoothness; +inf when a layer is rank deficient."""
     log_total = 0.0
     for spec, s in zip(spectra, s_chain[1:]):
         if spec.sigma_min == 0.0:
             return math.inf
         log_total += s * math.log(spec.op_norm) - 0.5 * float(np.sum(np.log(spec.sigma)))
     return math.exp(log_total)
-
-
-def matrix_factor_product(net: NetworkSpec) -> float:
-    """Constants-free spectral product prod_j ||W_j||^s / det(W^T W)^(1/4).
-
-    This is the quantity tracked against the generalization error in the
-    training experiments; s is the layer's own smoothness exponent.
-    Returns +inf when a layer is rank deficient.
-    """
-    return _matrix_factor(layer_spectra(net), net.smoothness_chain())
 
 
 def full_report(
@@ -644,9 +606,9 @@ def full_report(
     for variant in KOOPMAN_VARIANTS[:-1]:  # the per-layer variants; combined follows
         attempt(variant, _variant_total, variant, spectra, table, c)
     l_star, totals["combined"], per_l = _combined_best(spectra, table, c)
-    attempt("neyshabur15", bound_neyshabur15, net, c.n)
+    attempt("neyshabur15", _neyshabur15, spectra, c.n)
     attempt("neyshabur18", _neyshabur18, spectra, c.n)
-    attempt("golowich18", bound_golowich18, net, c.n)
+    attempt("golowich18", _golowich18, spectra, c.n)
     attempt("bartlett17", _bartlett17, net, spectra, c.n)
 
     layers = [

@@ -68,9 +68,12 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
+        seeds = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise CliError(f"--seeds: expected comma-separated integers, got {text!r}") from exc
+    if len(set(seeds)) < len(seeds):  # each seed trains into its own seed<k>/
+        raise CliError(f"--seeds: repeated seed in {text!r}")
+    return seeds
 
 
 def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:

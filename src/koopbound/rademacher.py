@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_trace_bound, sobolev_kernel
 from .network import GaussianHead, SmoothLeakyRelu
 
 
@@ -187,55 +186,6 @@ def empirical_rademacher_lower(
         values = evaluate_networks(params, x)  # (candidates, n)
         total += float(np.max(values @ signs) / n)
     return total / draws
-
-
-def rademacher_lower_fixed(values, draws: int, seed: int = 0) -> float:
-    """Monte-Carlo estimate for an explicit finite class given as (K, n) values."""
-    v = np.atleast_2d(np.asarray(values, dtype=float))
-    n = v.shape[1]
-    total = 0.0
-    for draw in range(draws):
-        rng = _draw_seed(seed, draw)
-        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        total += float(np.max(v @ signs) / n)
-    return total / draws
-
-
-def rademacher_exact(values) -> float:
-    """Exact complexity of a finite class by enumerating all 2^n sign vectors."""
-    v = np.atleast_2d(np.asarray(values, dtype=float))
-    n = v.shape[1]
-    if n > 20:
-        raise ValueError(f"2^{n} sign vectors is too many to enumerate")
-    total = 0.0
-    for mask in range(2 ** n):
-        signs = np.array(
-            [1.0 if mask & (1 << i) else -1.0 for i in range(n)]
-        )
-        total += float(np.max(v @ signs) / n)
-    return total / 2 ** n
-
-
-def rkhs_ball_rademacher(
-    points, radius: float, d: int, s: float
-) -> tuple[float, float]:
-    """Complexity of the radius-ball of the Sobolev RKHS at given points.
-
-    exact: (radius/n) * (sum_i k(x_i, x_i))^(1/2), the value after the
-    Jensen step of the kernel-class argument.
-    bound: radius * B / sqrt(n) with B the kernel diagonal bound.
-    exact <= bound always.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("points must be nonempty")
-    trace = sum(sobolev_kernel(xi, xi, d, s) for xi in x)
-    exact = radius / n * math.sqrt(trace)
-    bound = radius * kernel_trace_bound(d, s) / math.sqrt(n)
-    return exact, bound
 
 
 def class_upper_bound(

@@ -116,7 +116,7 @@ def network_from_json_dict(doc: dict) -> NetworkSpec:
     """Build and validate a network; every malformed value raises WeightFileError."""
     if not isinstance(doc, dict):
         raise WeightFileError("weight file must hold a JSON object")
-    if doc.get("version") != 1:
+    if type(doc.get("version")) is not int or doc["version"] != 1:  # not true, not 1.0
         raise WeightFileError(f"unsupported weight-file version {doc.get('version')!r}")
     layer_docs = doc.get("layers", [])
     if not isinstance(layer_docs, list):

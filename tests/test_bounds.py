@@ -14,16 +14,9 @@ from koopbound.bounds import (
     NotBiLipschitzError,
     VariantInapplicable,
     activation_opnorm_bound,
-    bound_bartlett17,
     bound_combined,
     bound_combined_best,
-    bound_golowich18,
-    bound_graph,
     bound_injective,
-    bound_invertible,
-    bound_neyshabur15,
-    bound_neyshabur18,
-    bound_weighted,
     choose_variant,
     default_constants,
     density_ratio_bound,
@@ -31,7 +24,6 @@ from koopbound.bounds import (
     full_report,
     g_factor_gaussian,
     koopman_layer_factor,
-    matrix_factor_product,
 )
 from koopbound.matcore import InvalidParameterError, RankDeficientError
 from koopbound.network import (
@@ -341,42 +333,47 @@ class TestVariants:
         net = simple_net([np.eye(2), np.eye(2)], s_in=1.05)
         c = constants_for(net, n=16)
         # every layer factor is 1, so the total is the prefactor
-        assert bound_invertible(net, c) == pytest.approx(1.0 / 4.0)
+        assert full_report(net, c).totals["invertible"] == pytest.approx(1.0 / 4.0)
 
     def test_invertible_rejects_tall(self):
         net = simple_net([np.vstack([np.eye(2), np.zeros((1, 2))])])
-        with pytest.raises(VariantInapplicable):
-            bound_invertible(net, constants_for(net))
+        report = full_report(net, constants_for(net))
+        assert "invertible" not in report.totals
+        assert report.inapplicable["invertible"] == "layer 1 is 3x2, not square"
 
     def test_injective_equals_invertible_for_square(self):
         rng = np.random.default_rng(3)
         w = rng.standard_normal((3, 3))
         net = simple_net([w])
         c = constants_for(net)
-        assert bound_injective(net, c) == pytest.approx(bound_invertible(net, c))
+        assert bound_injective(net, c) == pytest.approx(
+            full_report(net, c).totals["invertible"]
+        )
 
     def test_graph_identity_spec_value(self):
         net = simple_net([np.eye(2)], s_in=1.55)
         net.layers[0].s_out = 1.55
         c = constants_for(net, n=1)
-        assert bound_graph(net, c) == pytest.approx(2.0 ** 0.275, rel=1e-12)
+        assert full_report(net, c).totals["graph"] == pytest.approx(
+            2.0 ** 0.275, rel=1e-12
+        )
 
     def test_graph_finite_for_rank_deficient(self):
         net = simple_net([np.diag([1.0, 0.0])])
-        val = bound_graph(net, constants_for(net))
+        val = full_report(net, constants_for(net)).totals["graph"]
         assert 0.0 < val < math.inf
 
     def test_weighted_spec_value(self):
         net = simple_net([np.diag([3.0, 0.0])], s_in=1.05)
         c = constants_for(net, n=1)
-        assert bound_weighted(net, c) == pytest.approx(
+        assert full_report(net, c).totals["weighted"] == pytest.approx(
             3.0 ** 1.05 / math.sqrt(3.0), rel=1e-12
         )
 
     def test_weighted_zero_matrix_factor_one(self):
         net = simple_net([np.zeros((2, 2))], s_in=1.05)
         c = constants_for(net, n=1)
-        assert bound_weighted(net, c) == pytest.approx(1.0)
+        assert full_report(net, c).totals["weighted"] == pytest.approx(1.0)
 
 
 class TestCombined:
@@ -388,7 +385,7 @@ class TestCombined:
         net = self._net()
         c = constants_for(net)
         assert bound_combined(net, c, net.depth) == pytest.approx(
-            bound_injective(net, c), rel=1e-12
+            full_report(net, c).totals["injective"], rel=1e-12
         )
 
     def test_endpoint_zero_is_frobenius_product(self):
@@ -407,7 +404,7 @@ class TestCombined:
             net = self._net(seed)
             c = constants_for(net)
             _, _, per_l = bound_combined_best(net, c)
-            assert per_l[net.depth][1] == bound_injective(net, c)
+            assert per_l[net.depth][1] == full_report(net, c).totals["injective"]
 
     def test_best_no_worse_than_endpoints(self):
         rng = np.random.default_rng(5)
@@ -435,42 +432,40 @@ class TestCombined:
 
 
 class TestCompetitors:
+    @staticmethod
+    def _report(net, n):
+        return full_report(net, constants_for(net, n=n))
+
     def test_golowich_identity_example(self):
         net = simple_net([np.eye(2), np.eye(2)], s_in=1.05)
         # Frobenius product 2, min(4^{-1/4}, sqrt(2/4)) both 0.7071
-        assert bound_golowich18(net, 4) == pytest.approx(math.sqrt(2.0))
+        assert self._report(net, 4).totals["golowich18"] == pytest.approx(math.sqrt(2.0))
 
     def test_neyshabur15_identity(self):
         net = simple_net([np.eye(2), np.eye(2)], s_in=1.05)
-        assert bound_neyshabur15(net, 4) == pytest.approx(4.0 * 2.0 / 2.0)
+        assert self._report(net, 4).totals["neyshabur15"] == pytest.approx(4.0 * 2.0 / 2.0)
 
     def test_neyshabur18_formula(self):
         w = np.diag([2.0, 1.0])
         net = simple_net([w])
         frob_sq = 5.0
         expected = 1 * 2 * 2.0 * math.sqrt(frob_sq / 4.0) / math.sqrt(9.0)
-        assert bound_neyshabur18(net, 9) == pytest.approx(expected)
+        assert self._report(net, 9).totals["neyshabur18"] == pytest.approx(expected)
 
     def test_bartlett_zero_reference_default(self):
         w = np.diag([2.0, 1.0])
         net = simple_net([w])
         disc = bm.pq_norm(w.T, 2, 1)
         expected = 2.0 / math.sqrt(4.0) * (disc ** (2 / 3) / 2.0 ** (2 / 3)) ** 1.5
-        assert bound_bartlett17(net, 4) == pytest.approx(expected)
-
-    def test_bartlett_exact_reference_gives_zero(self):
-        w = np.diag([2.0, 1.0])
-        net = simple_net([w])
-        assert bound_bartlett17(net, 4, refs=[w]) == pytest.approx(0.0)
+        assert self._report(net, 4).totals["bartlett17"] == pytest.approx(expected)
 
     def test_zero_matrix_markers(self):
         net = simple_net([np.zeros((2, 2))])
-        with pytest.raises(VariantInapplicable):
-            bound_neyshabur18(net, 4)
-        with pytest.raises(VariantInapplicable):
-            bound_bartlett17(net, 4)
-        assert bound_neyshabur15(net, 4) == 0.0
-        assert bound_golowich18(net, 4) == 0.0
+        report = self._report(net, 4)
+        assert "neyshabur18" in report.inapplicable
+        assert "bartlett17" in report.inapplicable
+        assert report.totals["neyshabur15"] == 0.0
+        assert report.totals["golowich18"] == 0.0
 
 
 class TestMatrixFactorProduct:
@@ -483,11 +478,12 @@ class TestMatrixFactorProduct:
             s = net.smoothness_chain()[j + 1]
             det = abs(oracles.cofactor_det(layer.weight.T @ layer.weight))
             expected *= sv[0] ** s / det ** 0.25
-        assert matrix_factor_product(net) == pytest.approx(expected, rel=1e-10)
+        report = full_report(net, constants_for(net))
+        assert report.matrix_factor == pytest.approx(expected, rel=1e-10)
 
     def test_rank_deficient_is_inf(self):
         net = simple_net([np.diag([1.0, 0.0])])
-        assert matrix_factor_product(net) == math.inf
+        assert full_report(net, constants_for(net)).matrix_factor == math.inf
 
 
 class TestFullReport:
@@ -501,6 +497,8 @@ class TestFullReport:
         return full_report(net, c)
 
     def test_totals_match_direct_calls(self):
+        # hand formulas: sigma_1 from the characteristic polynomial, the
+        # determinants by cofactor expansion
         rng = np.random.default_rng(7)
         net = simple_net(
             [rng.standard_normal((3, 3)), rng.standard_normal((6, 3))],
@@ -508,10 +506,24 @@ class TestFullReport:
         )
         c = default_constants(net, 64)
         report = full_report(net, c)
-        assert report.totals["injective"] == pytest.approx(bound_injective(net, c))
-        assert report.totals["graph"] == pytest.approx(bound_graph(net, c))
-        assert report.totals["weighted"] == pytest.approx(bound_weighted(net, c))
-        assert report.totals["neyshabur15"] == pytest.approx(bound_neyshabur15(net, 64))
+        injective = graph = c.prefactor
+        frob = 1.0
+        for j, layer in enumerate(net.layers):
+            w, s = layer.weight, net.smoothness_chain()[j]
+            sigma_1 = oracles.singular_values_via_charpoly(w)[0]
+            per_layer = c.g_factors[j] * c.sigma_norms[j]
+            gram = w.T @ w
+            injective *= per_layer * max(1.0, sigma_1 ** s) / oracles.cofactor_det(gram) ** 0.25
+            graph *= (
+                per_layer * (1.0 + sigma_1 ** 2) ** (s / 2.0)
+                / oracles.cofactor_det(gram + np.eye(3)) ** 0.25
+            )
+            frob *= math.sqrt(float(np.sum(w * w)))
+        assert report.totals["injective"] == pytest.approx(injective, rel=1e-9)
+        assert report.totals["graph"] == pytest.approx(graph, rel=1e-9)
+        # full column rank: |det W_r|^(1/2) = det(W^T W)^(1/4), so weighted = injective
+        assert report.totals["weighted"] == pytest.approx(injective, rel=1e-9)
+        assert report.totals["neyshabur15"] == pytest.approx(4.0 * frob / 8.0, rel=1e-12)
         assert "invertible" in report.inapplicable  # layer 2 is tall
 
     def test_json_round_trip(self):

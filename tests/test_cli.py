@@ -546,7 +546,7 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("seeds", ["a,b", "1,,2", "1.5"])
+    @pytest.mark.parametrize("seeds", ["a,b", "1,,2", "1.5", "3,3"])
     def test_malformed_seeds_is_usage_error(self, tmp_path, capsys, seeds):
         code = run_cli(
             "train", "--task", "synthetic", "--seeds", seeds,

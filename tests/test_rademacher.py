@@ -5,6 +5,7 @@ import math
 import numpy as np
 import oracles
 import pytest
+from oracles import rademacher_exact, rademacher_lower_fixed, rkhs_ball_rademacher
 
 from koopbound import rademacher
 from koopbound.kernels import kernel_trace_bound, sobolev_kernel
@@ -14,9 +15,6 @@ from koopbound.rademacher import (
     class_upper_bound,
     empirical_rademacher_lower,
     evaluate_networks,
-    rademacher_exact,
-    rademacher_lower_fixed,
-    rkhs_ball_rademacher,
     sample_networks,
 )
 

@@ -80,9 +80,10 @@ class TestErrors:
         with pytest.raises(WeightFileError, match="line 3"):
             load_weights(path)
 
-    def test_unsupported_version(self, net):
+    @pytest.mark.parametrize("version", [2, True, 1.0])
+    def test_unsupported_version(self, net, version):
         doc = network_to_json_dict(net)
-        doc["version"] = 2
+        doc["version"] = version
         with pytest.raises(WeightFileError, match="version"):
             network_from_json_dict(doc)
 
