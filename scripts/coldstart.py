@@ -14,7 +14,9 @@ run from this checkout's `src` (as `python -m koopbound.cli`), taking
 the three commands in turn so that host noise spreads over all of them.
 Prints the median and quartiles of each command's wall time in ms as
 JSON, with the CPU count, the Python, numpy and scipy versions, the BLAS
-build and the thread variables.  Nothing is written into the checkout.
+build and the thread variables.  One more, untimed, run of each command
+under `python -X importtime` records whether it imported `scipy.special`
+(`loads_scipy_special`), so that an eager import shows in the record.  Nothing is written into the checkout.
 This is a record, not a gate: the times depend on the host and its load.
 """
 
@@ -52,6 +54,21 @@ def _time_ms(argv: list[str], env: dict) -> float:
     return 1e3 * (time.perf_counter() - t0)
 
 
+def _imports_module(argv: list[str], env: dict, package: str) -> bool:
+    """Whether the command imports `package`, read from `-X importtime`'s report.
+
+    A package reached through `importlib.import_module` (scipy's lazy
+    submodule loader) gets no report line of its own, so a line for any
+    of its submodules counts too.
+    """
+    proc = subprocess.run(argv[:1] + ["-X", "importtime"] + argv[1:], env=env, check=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    # report lines read "import time: self | cumulative | <indent>name"
+    names = [line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return any(name == package or name.startswith(package + ".") for name in names)
+
+
 def run(runs: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -68,10 +85,13 @@ def run(runs: int) -> dict:
         for _ in range(runs):
             for name, argv in commands.items():
                 samples[name].append(_time_ms(argv, env))
+        special = {name: _imports_module(argv, env, "scipy.special")
+                   for name, argv in commands.items()}
     result = {"runs": runs}
     for name, times in samples.items():
         q1, median, q3 = statistics.quantiles(times, n=4)
-        result[f"{name}_ms"] = {"median": median, "q1": q1, "q3": q3}
+        result[f"{name}_ms"] = {"median": median, "q1": q1, "q3": q3,
+                                "loads_scipy_special": special[name]}
     result["env"] = environment()
     return result
 

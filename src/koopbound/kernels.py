@@ -5,6 +5,15 @@ R^d, which induces the Sobolev space of order s whenever s > d/2.  The
 Fourier convention is the non-unitary one, g_hat(omega) =
 integral g(x) exp(-i x.omega) dx, matching the change-of-variable
 identities the bound factors rely on.
+
+Nothing here imports scipy at module level.  `import scipy.special`
+costs about a quarter of a second (its array-API shim clones numpy),
+about half of a one-shot `koopbound bound` process, and the bound needs
+only two log-gammas from it.  Those come from `_log_gamma`, a port of
+cephes `lgam`, the routine `scipy.special.gammaln` evaluates for real
+arguments, so B is bit-identical to the scipy-based value.  The Bessel
+function K_nu of `sobolev_kernel` and the quadrature of
+`gaussian_head_norm` are imported inside those functions.
 """
 
 from __future__ import annotations
@@ -12,11 +21,63 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 
 class KernelDivergenceError(Exception):
     """Raised when s <= d/2, where the space stops being an RKHS."""
+
+
+# cephes lgam: Stirling correction series (A), and the rational
+# approximation of log Gamma(2 + x) on [0, 1) (x B(x) / C(x), C monic)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+           -3.31612992738871184744e5, -1.16237097492762307383e6,
+           -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4,
+           -2.20528590553854454839e5, -1.13933444367982507207e6,
+           -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _horner(x: float, lead: float, coeffs) -> float:
+    acc = lead
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _log_gamma(x: float) -> float:
+    """log Gamma(x) for x > 0, bit-identical to scipy.special.gammaln.
+
+    A port of cephes `lgam` restricted to positive x: below 13, shift the
+    argument into [2, 3) with the recurrence and apply the rational
+    approximation; from 13 on, Stirling's formula with the A series, a
+    two-term series from 1000 on and none above 1e8.
+    """
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _horner(x, _LGAM_B[0], _LGAM_B[1:]) / _horner(x, 1.0, _LGAM_C)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _horner(p, _LGAM_A[0], _LGAM_A[1:]) / x
 
 
 def _check_order(d: int, s: float) -> None:
@@ -35,7 +96,7 @@ def kernel_trace_bound(d: int, s: float) -> float:
     """
     _check_order(d, s)
     nu = s - d / 2
-    log_val = (d / 2) * math.log(math.pi) + special.gammaln(nu) - special.gammaln(s)
+    log_val = (d / 2) * math.log(math.pi) + _log_gamma(nu) - _log_gamma(s)
     return math.exp(0.5 * log_val)
 
 
@@ -47,6 +108,8 @@ def sobolev_kernel(x, y, d: int, s: float) -> float:
     with the r -> 0 limit pi^(d/2) * Gamma(nu) / Gamma(s), which equals
     kernel_trace_bound(d, s)^2.
     """
+    from scipy import special  # loaded here: the bound path never needs K_nu
+
     _check_order(d, s)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
@@ -56,12 +119,12 @@ def sobolev_kernel(x, y, d: int, s: float) -> float:
     nu = s - d / 2
     if r == 0.0:
         return math.exp(
-            (d / 2) * math.log(math.pi) + special.gammaln(nu) - special.gammaln(s)
+            (d / 2) * math.log(math.pi) + _log_gamma(nu) - _log_gamma(s)
         )
     coeff = math.exp(
         (1 - nu) * math.log(2.0)
         + (d / 2) * math.log(math.pi)
-        - special.gammaln(s)
+        - _log_gamma(s)
     )
     return coeff * r ** nu * float(special.kv(nu, r))
 

@@ -48,20 +48,24 @@ class DivergenceError(TrainerError):
 # forward / backward
 
 
-def _forward_cache(net: NetworkSpec, X: np.ndarray):
-    """Pre-activations and activations per layer for a batch (N, d0)."""
+def _forward_cache(net: NetworkSpec, X: np.ndarray, with_derivatives: bool = False):
+    """Activations per layer for a batch (N, d0) and, if asked, each layer's
+    sigma' at its pre-activations (None for an identity layer)."""
     z = np.asarray(X, dtype=float)
     if z.ndim == 1:
         z = z[None, :]
-    pre, post = [], [z]
+    derivs, post = [], [z]
     for layer in net.layers:
         if isinstance(layer.activation, CustomActivation):
             raise TrainerError(f"cannot train through activation {layer.activation!r}")
         a = z @ layer.weight.T + layer.bias
-        z = layer.activation.value(a)
-        pre.append(a)
+        if with_derivatives:
+            z, deriv = layer.activation.value_and_derivative(a)
+            derivs.append(deriv)
+        else:
+            z = layer.activation.value(a)
         post.append(z)
-    return pre, post
+    return derivs, post
 
 
 def _head_output(head, z: np.ndarray) -> np.ndarray:
@@ -123,7 +127,7 @@ def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str = "squared"):
     if X.shape[0] == 0:
         raise TrainerError("batch must be nonempty")
     n = X.shape[0]
-    pre, post = _forward_cache(net, X)
+    derivs, post = _forward_cache(net, X, with_derivatives=True)
     z_last = post[-1]
     f = _head_output(net.head, z_last)
     loss = _mean_loss(net.head, head_loss, f, Y)
@@ -139,7 +143,7 @@ def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str = "squared"):
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * net.depth
     for j in range(net.depth - 1, -1, -1):
         layer = net.layers[j]
-        delta_a = delta * layer.activation.derivative(pre[j])
+        delta_a = delta if derivs[j] is None else delta * derivs[j]
         gw = delta_a.T @ post[j]
         gb = np.sum(delta_a, axis=0)
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):

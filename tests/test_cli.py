@@ -422,20 +422,25 @@ SOFTMAX_PATHS_SCRIPT = textwrap.dedent("""
         codes = [
             cli.main(["bound", path, "--n", "1500"]),
             cli.main(["inspect", path]),
-            cli.main(["train", "--task", "digits", "--epochs", "1", "--outdir", outdir]),
         ]
+        scipy_after_bound = sorted(
+            m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        codes.append(
+            cli.main(["train", "--task", "digits", "--epochs", "1", "--outdir", outdir]))
     loaded = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse")
               if m in sys.modules]
     net = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)
     g_norm = bounds.default_constants(net, 100).g_norm
-    print(json.dumps({"codes": codes, "loaded": loaded, "g_norm": g_norm}))
+    print(json.dumps({"codes": codes, "scipy_after_bound": scipy_after_bound,
+                      "loaded": loaded, "g_norm": g_norm}))
 """)
 
 
 def test_softmax_commands_do_not_load_quadrature(tmp_path):
-    """bound, inspect and digits training (softmax heads) never import
-    scipy.integrate, nor the optimize and sparse packages it pulls in; a
-    Gaussian head still gets the same quadrature from the lazy import."""
+    """bound and inspect (softmax head) import no scipy module at all, and
+    digits training never imports scipy.integrate, nor the optimize and
+    sparse packages it pulls in; a Gaussian head still gets the same
+    quadrature from the lazy import."""
     path = tmp_path / "net.json"
     weightio.save_weights(_digits_net(), path)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -446,6 +451,7 @@ def test_softmax_commands_do_not_load_quadrature(tmp_path):
     )
     doc = json.loads(proc.stdout)
     assert doc["codes"] == [0, 0, 0]
+    assert doc["scipy_after_bound"] == []
     assert doc["loaded"] == []
     expected = bounds.default_constants(build_network([3, 3, 6], GaussianHead(), seed=0), 100)
     assert doc["g_norm"] == expected.g_norm

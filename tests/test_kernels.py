@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from koopbound.kernels import (
     KernelDivergenceError,
+    _log_gamma,
     gaussian_head_norm,
     kernel_trace_bound,
     sobolev_gram,
@@ -14,6 +15,44 @@ from koopbound.kernels import (
 )
 
 import oracles
+
+
+class TestLogGamma:
+    """_log_gamma is cephes lgam, so it must equal scipy.special.gammaln bit for bit."""
+
+    @staticmethod
+    def assert_exact(xs):
+        from scipy.special import gammaln
+
+        xs = [float(x) for x in xs]
+        mismatched = [(x, _log_gamma(x), float(gammaln(x)))
+                      for x in xs if _log_gamma(x) != float(gammaln(x))]
+        assert mismatched == []
+
+    # one range per branch: the upward recurrence (x < 2), no shift (2 to 3),
+    # the downward recurrence (3 to 13), Stirling with the A series, the
+    # two-term series from 1000 on, and the bare Stirling sum above 1e8
+    @pytest.mark.parametrize("lo,hi", [
+        (1e-6, 2.0), (2.0, 3.0), (3.0, 13.0), (13.0, 1000.0), (1000.0, 1e8), (1e8, 2.4e17),
+    ])
+    def test_matches_gammaln_on_each_branch(self, lo, hi):
+        rng = np.random.default_rng(int(math.log10(hi) * 1000))
+        self.assert_exact(np.concatenate([
+            rng.uniform(lo, hi, 2000),
+            np.exp(rng.uniform(math.log(lo), math.log(hi), 2000)),
+            [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)],
+        ]))
+
+    def test_matches_gammaln_on_the_smoothness_ladders(self):
+        # s = (d + 0.1) / 2 and s - d/2, the arguments of kernel_trace_bound
+        self.assert_exact([(d + 0.1) / 2 for d in range(1, 201)])
+        self.assert_exact([(d + 0.1) / 2 - d / 2 for d in range(1, 201)])
+
+    def test_integers(self):
+        for k in range(1, 30):
+            assert _log_gamma(float(k)) == pytest.approx(math.log(math.factorial(k - 1)),
+                                                         rel=1e-15, abs=1e-300)
+        self.assert_exact(range(1, 2000))
 
 
 class TestKernelTraceBound:
