@@ -43,7 +43,6 @@ from .bounds import (
     koopman_layer_factor,
     g_factor_gaussian,
     activation_opnorm_bound,
-    choose_variant,
     bound_injective,
     bound_combined,
     bound_combined_best,
@@ -52,7 +51,6 @@ from .bounds import (
     full_report,
 )
 from .diagnostics import (
-    stable_rank,
     SpectrumLog,
     snapshot,
 )
@@ -69,8 +67,6 @@ from .trainer import (
     loss_and_grads,
     regularizer_synthetic,
     regularizer_perlayer,
-    gen_error_estimate,
-    classification_accuracy,
 )
 from .rademacher import (
     InfeasibleClassError,

@@ -22,8 +22,9 @@ single totals, from the same factor table.
 Each of these factors depends on W only through its singular values, so
 a layer's spectrum is computed once (`matcore.LayerSpectrum`) and every
 factor, and every competitor but bartlett17's (2,1)-norm, reads it.
-`_factor_table` is the one definition of the four per-layer factors, and
-it holds their natural logs, read from the spectrum's log-determinants:
+`_factor_table` is the one definition of the four per-layer factors and
+of the constants-free spectral product (`matrix_factor`), and it holds
+their natural logs, read from the spectrum's log-determinants:
 ||W||^s and det(W^T W)^(1/4) each grow like sigma^width, and only their
 ratio is formed, so a (scaled-)orthogonal layer contributes log 1 = 0
 whatever its width.  A variant's total is exp(log prefactor + sum of its
@@ -250,35 +251,28 @@ def _why_inapplicable(spec: LayerSpectrum, variant: str) -> str | None:
     return f"lacks full column rank (sigma_min={spec.sigma_min:.3e})"
 
 
-def choose_variant(layer) -> str:
-    """The tightest variant that applies to a layer (LayerSpec, LayerSpectrum or matrix).
-
-    "invertible", else "injective", else "graph", which (like "weighted")
-    applies to every layer.
-    """
-    spec = _spectrum(layer)
-    return next(
-        (tag for tag in ("invertible", "injective") if not _why_inapplicable(spec, tag)),
-        "graph",
-    )
-
-
 # ---------------------------------------------------------------------------
 # whole-network bound variants
 
 
-def _factor_table(
-    spectra: list[LayerSpectrum], s_chain, c: BoundConstants
-) -> list[dict[str, float | None]]:
-    """Per layer, the natural log of each per-layer Koopman variant's factor.
+def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants):
+    """Per layer, the natural log of each per-layer Koopman variant's factor,
+    and the natural log of the constants-free spectral product.
 
-    s_chain[j] is the smoothness of layer j's input space.  The factors
-    include the layer's isotropy factor G and activation norm ||K_sigma||
-    from `c`.  None marks a variant whose precondition the layer fails
-    (`_why_inapplicable`).
+    s_chain is the smoothness chain: s_chain[j] is the smoothness of layer
+    j's input space, s_chain[j + 1] of its output.  The factors include the
+    layer's isotropy factor G and activation norm ||K_sigma|| from `c`.
+    None marks a variant whose precondition the layer fails
+    (`_why_inapplicable`).  The spectral product is
+    prod_j ||W_j||^s_(j+1) / (prod of W_j's singular values)^(1/2), with
+    each layer's own smoothness and no max{1, .}; its log is None when a
+    layer is numerically rank deficient (rank below min(rows, cols)).
     """
     table = []
-    for spec, s, g, sig in zip(spectra, s_chain, c.g_factors, c.sigma_norms):
+    log_matrix = 0.0
+    for spec, s, s_out, g, sig in zip(
+        spectra, s_chain, s_chain[1:], c.g_factors, c.sigma_norms
+    ):
         log_g, log_sig = math.log(g), math.log(sig)
         log_lift = _log_norm_power(spec, s)  # log max{1, ||W||^s}
         koop = _log_koopman_factor(spec, s)
@@ -293,7 +287,14 @@ def _factor_table(
             ),
             "weighted": log_lift - spec.restricted_logdet / 2.0 + log_g + log_sig,
         })
-    return table
+        if log_matrix is None:
+            continue
+        if spec.rank < min(spec.rows, spec.cols):
+            log_matrix = None
+        else:
+            log_sigma_sum = float(np.sum(np.log(spec.sigma)))
+            log_matrix += s_out * math.log(spec.op_norm) - 0.5 * log_sigma_sum
+    return table, log_matrix
 
 
 def _total(c: BoundConstants, log_factors) -> float:
@@ -310,19 +311,21 @@ def _variant_total(variant: str, spectra, table, c: BoundConstants) -> float:
 
 
 def _spectra_and_table(net: NetworkSpec, c: BoundConstants, spectra=None):
-    """The layers' spectra (built unless given) and their `_factor_table`."""
+    """The layers' spectra (built unless given) and their `_factor_table`:
+    (spectra, table, log of the spectral product)."""
     if len(c.sigma_norms) != net.depth or len(c.g_factors) != net.depth:
         raise InvalidParameterError(
             "sigma_norms and g_factors must have one entry per layer"
         )
     if spectra is None:
         spectra = layer_spectra(net)
-    return spectra, _factor_table(spectra, net.smoothness_chain(), c)
+    return (spectra, *_factor_table(spectra, net.smoothness_chain(), c))
 
 
 def bound_injective(net: NetworkSpec, c: BoundConstants) -> float:
     """Bound for tall full-column-rank layers, with isotropy factors G_j."""
-    return _variant_total("injective", *_spectra_and_table(net, c), c)
+    spectra, table, _ = _spectra_and_table(net, c)
+    return _variant_total("injective", spectra, table, c)
 
 
 def _feasible_prefix_length(spectra: list[LayerSpectrum]) -> int:
@@ -360,7 +363,8 @@ def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
     """
     if not (0 <= l <= net.depth):
         raise InvalidParameterError(f"l must be in [0, {net.depth}], got {l}")
-    return _combined(*_spectra_and_table(net, c), c, l)
+    spectra, table, _ = _spectra_and_table(net, c)
+    return _combined(spectra, table, c, l)
 
 
 def _combined_best(spectra, table, c: BoundConstants):
@@ -377,7 +381,8 @@ def bound_combined_best(
     net: NetworkSpec, c: BoundConstants
 ) -> tuple[int, float, list[tuple[int, float | None]]]:
     """Minimize the combined bound over the split point l; ties go to smaller l."""
-    return _combined_best(*_spectra_and_table(net, c), c)
+    spectra, table, _ = _spectra_and_table(net, c)
+    return _combined_best(spectra, table, c)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +517,7 @@ class BoundReport:
     inapplicable: dict[str, str]
     combined_l_star: int | None
     combined_per_l: list[tuple[int, float | None]]
-    matrix_factor: float  # constants-free product of Koopman layer factors
+    matrix_factor: float  # constants-free spectral product; +inf if a layer is rank deficient
     metadata: dict
     # per-layer spectra the report was computed from; not serialized
     spectra: list[LayerSpectrum] = field(default_factory=list, repr=False, compare=False)
@@ -569,17 +574,6 @@ class BoundReport:
         return buf.getvalue()
 
 
-def _matrix_factor(spectra, s_chain) -> float:
-    """Constants-free spectral product prod_j ||W_j||^s / det(W^T W)^(1/4),
-    with s the layer's own smoothness; +inf when a layer is rank deficient."""
-    log_total = 0.0
-    for spec, s in zip(spectra, s_chain[1:]):
-        if spec.sigma_min == 0.0:
-            return math.inf
-        log_total += s * math.log(spec.op_norm) - 0.5 * float(np.sum(np.log(spec.sigma)))
-    return math.exp(log_total)
-
-
 def full_report(
     net: NetworkSpec,
     c: BoundConstants,
@@ -593,7 +587,7 @@ def full_report(
     """
     net.validate()
     s_chain = net.smoothness_chain()
-    spectra, table = _spectra_and_table(net, c, spectra)
+    spectra, table, log_matrix = _spectra_and_table(net, c, spectra)
     totals: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
 
@@ -623,7 +617,10 @@ def full_report(
                 None if spec.gram_logdet is None else _exp_or_inf(spec.gram_logdet / 4.0)
             ),
             numeric_rank=spec.restricted_rank,
-            variant_choice=choose_variant(spec),
+            # the tightest variant the layer meets; graph (like weighted) always applies
+            variant_choice=next(
+                (tag for tag in ("invertible", "injective") if row[tag] is not None), "graph"
+            ),
             factors={k: None if v is None else math.exp(v) for k, v in row.items()},
         )
         for j, (spec, row) in enumerate(zip(spectra, table))
@@ -636,7 +633,7 @@ def full_report(
         inapplicable=inapplicable,
         combined_l_star=l_star,
         combined_per_l=per_l,
-        matrix_factor=_matrix_factor(spectra, s_chain),
+        matrix_factor=math.inf if log_matrix is None else math.exp(log_matrix),
         metadata={
             "n": c.n,
             "B": c.B,

@@ -28,6 +28,7 @@ full precision, a non-finite one as null.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -76,13 +77,11 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
-    """Report with default constants, one SVD per layer; invalid constants
-    and a report too large for float64 become usage errors."""
+@contextlib.contextmanager
+def _report_errors():
+    """Invalid constants and a report too large for float64 become usage errors."""
     try:
-        spectra = bounds_mod.layer_spectra(net)
-        c = bounds_mod.default_constants(net, n, spectra=spectra, **constants)
-        return bounds_mod.full_report(net, c, spectra=spectra)
+        yield
     except (
         ValueError, ValidationError, InvalidParameterError,
         bounds_mod.NotBiLipschitzError,
@@ -93,10 +92,19 @@ def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
         raise CliError(f"the bound report overflows float64 ({exc})") from exc
 
 
+def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
+    """Report with default constants, one SVD per layer."""
+    with _report_errors():
+        spectra = bounds_mod.layer_spectra(net)
+        c = bounds_mod.default_constants(net, n, spectra=spectra, **constants)
+        return bounds_mod.full_report(net, c, spectra=spectra)
+
+
 def cmd_inspect(args) -> int:
     net = _load_network(args.weightfile)
     report = _full_report(net, n=1)
-    snaps = diagnostics.snapshot(report, 0).layers
+    with _report_errors():  # the constants-free Koopman factor can overflow alone
+        snaps = diagnostics.snapshot(report, 0).layers
     header = f"{'layer':>5} {'sigma_max':>12} {'sigma_min':>12} {'cond':>12} {'stable_rank':>12} {'koopman':>12}"
     print(header)
     lines = ["layer,sigma_max,sigma_min,cond,stable_rank,koopman_factor"]

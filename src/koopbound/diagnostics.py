@@ -10,26 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 
 from .bounds import BoundReport, koopman_layer_factor
-from .matcore import LayerSpectrum
 
 
 class DiagnosticsError(Exception):
     pass
-
-
-def stable_rank(w) -> float:
-    """||W||_F^2 / ||W||^2, a soft rank proxy in [1, min(rows, cols)].
-
-    w is a matrix or its matcore.LayerSpectrum.
-    """
-    srank = (w if isinstance(w, LayerSpectrum) else LayerSpectrum.of(w)).stable_rank
-    if math.isnan(srank):
-        raise DiagnosticsError("stable rank is undefined for the zero matrix")
-    return srank
 
 
 @dataclass

@@ -87,17 +87,19 @@ def _check_order(d: int, s: float) -> None:
         )
 
 
-def kernel_trace_bound(d: int, s: float) -> float:
-    """B with k(x, x) = B^2: the diagonal of the Sobolev kernel on R^d.
+def _log_diagonal(d: int, s: float) -> float:
+    """log k(x, x) = log(pi^(d/2) * Gamma(s - d/2) / Gamma(s)), for s > d/2.
 
-    k(x, x) = integral (1 + ||omega||^2)^(-s) d omega, evaluated in
-    closed form through the radial reduction
-    pi^(d/2) * Gamma(s - d/2) / Gamma(s).
+    k(x, x) = integral (1 + ||omega||^2)^(-s) d omega, in closed form
+    through the radial reduction.
     """
+    return (d / 2) * math.log(math.pi) + _log_gamma(s - d / 2) - _log_gamma(s)
+
+
+def kernel_trace_bound(d: int, s: float) -> float:
+    """B with k(x, x) = B^2: the diagonal of the Sobolev kernel on R^d."""
     _check_order(d, s)
-    nu = s - d / 2
-    log_val = (d / 2) * math.log(math.pi) + _log_gamma(nu) - _log_gamma(s)
-    return math.exp(0.5 * log_val)
+    return math.exp(0.5 * _log_diagonal(d, s))
 
 
 def sobolev_kernel(x, y, d: int, s: float) -> float:
@@ -118,9 +120,7 @@ def sobolev_kernel(x, y, d: int, s: float) -> float:
     r = float(np.linalg.norm(xv - yv))
     nu = s - d / 2
     if r == 0.0:
-        return math.exp(
-            (d / 2) * math.log(math.pi) + _log_gamma(nu) - _log_gamma(s)
-        )
+        return math.exp(_log_diagonal(d, s))
     coeff = math.exp(
         (1 - nu) * math.log(2.0)
         + (d / 2) * math.log(math.pi)

@@ -9,6 +9,7 @@ and determinants are always assembled from them in log space.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +191,10 @@ class LayerSpectrum:
         """||W||_F^2 / ||W||^2 = sum sigma_i^2 / sigma_1^2; NaN for the zero matrix."""
         if self.op_norm == 0.0:
             return math.nan
-        return float(np.sum(self.sigma ** 2)) / self.op_norm ** 2
+        top = self.op_norm ** 2
+        if top < sys.float_info.min:  # sigma_1^2 underflows: scale before squaring
+            return float(np.sum((self.sigma / self.op_norm) ** 2))
+        return float(np.sum(self.sigma ** 2)) / top
 
     def require_gram_logdet(self) -> float:
         """gram_logdet, or the ShapeError (wide) or RankDeficientError that says why not."""

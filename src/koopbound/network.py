@@ -46,16 +46,6 @@ def _smooth_leaky_relu(x, alpha: float, mu: float, with_derivative: bool):
     )
 
 
-def smooth_leaky_relu(x, alpha: float = 0.5, mu: float = 0.5):
-    """sigma(x) = ((1+a) x + (1-a) x erf(mu (1-a) x)) / 2, elementwise."""
-    return _smooth_leaky_relu(x, alpha, mu, False)[0]
-
-
-def smooth_leaky_relu_derivative(x, alpha: float = 0.5, mu: float = 0.5):
-    """sigma'(x), elementwise."""
-    return _smooth_leaky_relu(x, alpha, mu, True)[1]
-
-
 # sigma'(x) of the smooth leaky ReLU is extremal at x = +-1/(mu (1 - alpha)),
 # where it equals ((1 + alpha) +- (1 - alpha) * _SLRELU_SWING) / 2, whatever mu.
 _SLRELU_SWING = math.erf(1.0) + 2.0 / (math.e * math.sqrt(math.pi))
@@ -88,7 +78,7 @@ class SmoothLeakyRelu:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
     def value(self, x):
-        return smooth_leaky_relu(x, self.alpha, self.mu)
+        return _smooth_leaky_relu(x, self.alpha, self.mu, False)[0]
 
     def value_and_derivative(self, x):
         """(sigma(x), sigma'(x)) from one erf evaluation."""

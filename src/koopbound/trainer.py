@@ -267,23 +267,8 @@ def load_digits() -> Dataset:
     )
 
 
-def gen_error_estimate(net: NetworkSpec, data: Dataset) -> float:
-    """|mean held-out loss - mean training loss| under the head's loss, from one
-    forward pass over each table."""
-    head_loss = _head_loss(net.head)
-    train_loss = _mean_loss(net.head, head_loss, forward(net, data.inputs), data.targets)
-    held_loss = _mean_loss(
-        net.head, head_loss, forward(net, data.held_inputs), data.held_targets
-    )
-    return abs(held_loss - train_loss)
-
-
 def _accuracy(probs: np.ndarray, labels) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == np.asarray(labels, dtype=int)))
-
-
-def classification_accuracy(net: NetworkSpec, X, labels) -> float:
-    return _accuracy(forward(net, np.atleast_2d(X)), labels)
 
 
 # ---------------------------------------------------------------------------

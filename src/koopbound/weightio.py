@@ -60,11 +60,24 @@ def _spec_to_json(obj, registry: dict, what: str) -> dict:
     }
 
 
+def _has_bool(x) -> bool:
+    """Whether x is, or a list in x holds, a JSON true/false, which float()
+    would read as 1.0/0.0.  x has been read as numbers, so it is shallow."""
+    if not isinstance(x, list):
+        return type(x) is bool
+    types = set(map(type, x))
+    return bool in types or (list in types and any(map(_has_bool, x)))
+
+
 def _spec_from_json(doc: dict, registry: dict, what: str):
     kind = doc.get("kind")
     if kind not in registry:
         raise WeightFileError(f"unknown {what} kind {kind!r}")
-    return registry[kind](**doc.get("params", {}))
+    params = doc.get("params", {})
+    spec = registry[kind](**params)
+    if _has_bool(list(params.values())):
+        raise WeightFileError(f"{what} params: true/false is not a number")
+    return spec
 
 
 def network_to_json_dict(net: NetworkSpec) -> dict:
@@ -100,12 +113,15 @@ def _layer_from_json(j: int, rec) -> LayerSpec:
             raise WeightFileError(
                 f"layer {j}: {weights.size} weights for a {rows}x{cols} matrix"
             )
-        return LayerSpec(
+        layer = LayerSpec(
             weight=weights.reshape(rows, cols),
             bias=np.asarray(rec["bias"], dtype=np.float64),
             activation=_spec_from_json(rec["activation"], _ACTIVATIONS, "activation"),
             s_out=float(rec["s"]),
         )
+        if _has_bool([rec["weights"], rec["bias"], rec["s"]]):
+            raise WeightFileError(f"layer {j}: true/false is not a number")
+        return layer
     except KeyError as exc:
         raise WeightFileError(f"layer {j}: missing field {exc}") from exc
     except _PARSE_ERRORS as exc:
@@ -127,6 +143,8 @@ def network_from_json_dict(doc: dict) -> NetworkSpec:
     try:
         head = _spec_from_json(doc.get("head", {}), _HEADS, "head")
         s_in = float(doc["s_in"])
+        if type(doc["s_in"]) is bool:
+            raise WeightFileError("s_in: true/false is not a number")
     except KeyError as exc:
         raise WeightFileError(f"missing field {exc}") from exc
     except _PARSE_ERRORS as exc:

@@ -11,6 +11,10 @@ Monte-Carlo estimate for the same class (it keeps the library's
 per-draw seed rule, so it draws the sign vectors that
 `empirical_rademacher_lower` draws for the same seed), and `rkhs_ball_rademacher` is the closed form for the radius-ball of
 the Sobolev RKHS next to its B / sqrt(n) bound.
+
+`gen_error_estimate` and `classification_accuracy` evaluate a network
+after training, from the trainer's forward pass and loss: the reference
+for the per-epoch evaluation `train` runs inline.
 """
 
 import math
@@ -19,6 +23,7 @@ import numpy as np
 
 from koopbound.kernels import kernel_trace_bound, sobolev_kernel
 from koopbound.rademacher import BIAS_RADIUS, _draw_seed
+from koopbound.trainer import _accuracy, _head_loss, _mean_loss, forward
 
 
 def cofactor_det(m) -> float:
@@ -212,3 +217,18 @@ def rkhs_ball_rademacher(
     exact = radius / n * math.sqrt(trace)
     bound = radius * kernel_trace_bound(d, s) / math.sqrt(n)
     return exact, bound
+
+
+def gen_error_estimate(net, data) -> float:
+    """|mean held-out loss - mean training loss| under the head's loss, from one
+    forward pass over each table."""
+    head_loss = _head_loss(net.head)
+    train_loss = _mean_loss(net.head, head_loss, forward(net, data.inputs), data.targets)
+    held_loss = _mean_loss(
+        net.head, head_loss, forward(net, data.held_inputs), data.held_targets
+    )
+    return abs(held_loss - train_loss)
+
+
+def classification_accuracy(net, X, labels) -> float:
+    return _accuracy(forward(net, np.atleast_2d(X)), labels)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopbound import bounds as bm
-from koopbound import cli, diagnostics, matcore, network, trainer, weightio
+from koopbound import cli, diagnostics, matcore, trainer, weightio
 from koopbound.bounds import (
     BoundConstants,
     BoundReport,
@@ -17,7 +17,6 @@ from koopbound.bounds import (
     bound_combined,
     bound_combined_best,
     bound_injective,
-    choose_variant,
     default_constants,
     density_ratio_bound,
     density_ratio_grid_sup,
@@ -174,7 +173,7 @@ class TestActivationBound:
     def test_bound_from_sampled_derivative(self, alpha, mu):
         # oracle: the derivative sampled densely around its extremes
         x = np.linspace(-3.0, 3.0, 600_001) / (mu * (1.0 - alpha))
-        deriv = network.smooth_leaky_relu_derivative(x, alpha, mu)
+        _, deriv = SmoothLeakyRelu(alpha=alpha, mu=mu).value_and_derivative(x)
         sampled = (1.0 / deriv.min()) ** 3 * max(1.0, deriv.max())
         val = activation_opnorm_bound(SmoothLeakyRelu(alpha=alpha, mu=mu), 3)
         assert val >= sampled * (1 - 1e-12)
@@ -310,22 +309,28 @@ class TestSvdCount:
         assert default_constants(net, 100, spectra=spectra) == default_constants(net, 100)
 
 
+def _variant_choice(layer: LayerSpec) -> str:
+    """The report row's `variant_choice` for a one-layer net."""
+    net = NetworkSpec(input_dim=layer.in_dim, layers=[layer])
+    return full_report(net, constants_for(net)).layers[0].variant_choice
+
+
 class TestChooseVariant:
     def test_square_full_rank(self):
         layer = LayerSpec(weight=np.eye(3), bias=np.zeros(3))
-        assert choose_variant(layer) == "invertible"
+        assert _variant_choice(layer) == "invertible"
 
     def test_tall(self):
         layer = LayerSpec(weight=np.ones((4, 2)) + np.eye(4, 2), bias=np.zeros(4))
-        assert choose_variant(layer) == "injective"
+        assert _variant_choice(layer) == "injective"
 
     def test_wide_routes_to_graph(self):
         layer = LayerSpec(weight=np.ones((2, 4)), bias=np.zeros(2), s_out=2.2)
-        assert choose_variant(layer) == "graph"
+        assert _variant_choice(layer) == "graph"
 
     def test_rank_deficient_routes_to_graph(self):
         layer = LayerSpec(weight=np.diag([1.0, 0.0]), bias=np.zeros(2))
-        assert choose_variant(layer) == "graph"
+        assert _variant_choice(layer) == "graph"
 
 
 class TestVariants:
@@ -482,8 +487,17 @@ class TestMatrixFactorProduct:
         assert report.matrix_factor == pytest.approx(expected, rel=1e-10)
 
     def test_rank_deficient_is_inf(self):
-        net = simple_net([np.diag([1.0, 0.0])])
-        assert full_report(net, constants_for(net)).matrix_factor == math.inf
+        # exactly, and numerically: 1e-12 is below the rank tolerance 2e-8
+        for w in (np.diag([1.0, 0.0]), np.diag([1.0, 1e-12])):
+            net = simple_net([w])
+            assert full_report(net, constants_for(net)).matrix_factor == math.inf
+
+    def test_wide_full_row_rank_is_finite(self):
+        # rank 2 = min(rows, cols): the product runs over both singular values
+        w = np.array([[2.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        net = NetworkSpec(input_dim=3, layers=[LayerSpec(w, np.zeros(2), s_out=1.6)])
+        expected = 2.0 ** 1.6 / (2.0 * 0.5) ** 0.5
+        assert full_report(net, constants_for(net)).matrix_factor == pytest.approx(expected)
 
 
 class TestFullReport:

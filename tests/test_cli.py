@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from koopbound import bounds, cli, trainer, weightio
 from koopbound.matcore import RankDeficientError
-from koopbound.network import GaussianHead, SmoothLeakyRelu, SoftmaxHead
+from koopbound.network import (
+    CustomActivation, GaussianHead, LayerSpec, NetworkSpec, SmoothLeakyRelu, SoftmaxHead,
+)
 from koopbound.trainer import build_network
 
 
@@ -125,6 +127,12 @@ MALFORMED = {
     "unknown_head_param": lambda d: d["head"]["params"].update(width=3),
     "non_numeric_weight": lambda d: d["layers"][0]["weights"].__setitem__(0, "x"),
     "nan_bias": lambda d: d["layers"][0]["bias"].__setitem__(0, float("nan")),
+    # JSON booleans are not numbers, although float(true) is 1.0
+    "bool_weight": lambda d: d["layers"][0]["weights"].__setitem__(0, True),
+    "bool_bias": lambda d: d["layers"][1]["bias"].__setitem__(2, False),
+    "bool_s_in": lambda d: d.update(s_in=True),
+    "bool_s": lambda d: d["layers"][0].update(s=True),
+    "bool_head_param": lambda d: d["head"]["params"].update(c=True),
 }
 
 
@@ -167,14 +175,23 @@ _BAD_VALUES = st.one_of(
                      1e308, -1e308, 0.0, 10**400]),
     st.sampled_from([3, 70, 800]).map(_nested),
 )
-# (slot, element index, action, value): replace the value, delete it, or
-# make it ragged by wrapping it in a list with a copy of itself
+# (slot, element index, action, value): replace the value, delete it, make
+# it ragged by wrapping it in a list with a copy of itself, or scale a whole
+# weights array towards the ends of float64's range
 _MUTATIONS = st.lists(
-    st.tuples(
-        st.sampled_from(_weight_file_slots(json.loads(_DIGITS_DOC))),
-        st.integers(0, 1 << 20),
-        st.sampled_from(["replace", "delete", "ragged"]),
-        _BAD_VALUES,
+    st.one_of(
+        st.tuples(
+            st.sampled_from(_weight_file_slots(json.loads(_DIGITS_DOC))),
+            st.integers(0, 1 << 20),
+            st.sampled_from(["replace", "delete", "ragged"]),
+            _BAD_VALUES,
+        ),
+        st.tuples(
+            st.sampled_from([("layers", j, "weights") for j in range(3)]),
+            st.just(0),
+            st.just("scale"),
+            st.sampled_from([1e-200, 1e-150, 1e150]),
+        ),
     ),
     max_size=3,
 )
@@ -204,6 +221,11 @@ def _mutate(doc: dict, slot: tuple, index: int, action: str, value) -> None:
         del node[key]
     elif action == "ragged":
         node[key] = [node[key], node[key]]
+    elif action == "scale":
+        try:
+            node[key] = [value * x for x in node[key]]
+        except (TypeError, OverflowError):
+            return  # an earlier mutation left something that is not a list of numbers
     else:
         node[key] = value
 
@@ -226,6 +248,8 @@ def _corrupt(raw: bytes, action: str, where: float, depth: int) -> bytes:
 @example(mutations=[(("layers", 1, "weights", "i"), 7, "replace", 10**400)],
          corruption=("none", 0.0, 1))
 @example(mutations=[(("s_in",), 0, "replace", 10**400)], corruption=("none", 0.0, 1))
+@example(mutations=[(("layers", 2, "weights"), 0, "scale", 1e-200)],
+         corruption=("none", 0.0, 1))
 def test_mutated_weight_file_never_raises(mutations, corruption):
     """bound and inspect on a mutated digits-shape weight file exit 0, or 2
     with an `error:` line; any exception fails the example."""
@@ -330,18 +354,70 @@ def _cut_to_rank_64(w):
 
 
 @pytest.mark.parametrize("command", [("bound", "--n", "1500"), ("inspect",)])
-@pytest.mark.parametrize("edit", [_cut_to_rank_64, lambda w: 1e-6 * w], ids=["rank64", "tiny"])
-def test_overflowing_report_exits_2(tmp_path, capsys, command, edit):
-    """A layer-2 factor beyond float64: the spectral product (rank 64) or the
-    full-rank Koopman factor 1/det(W^T W)^(1/4) = e^884 (1e-6 * orthogonal)."""
+@pytest.mark.parametrize(
+    "edit,code", [(_cut_to_rank_64, cli.EXIT_OK), (lambda w: 1e-6 * w, cli.EXIT_USAGE)],
+    ids=["rank64", "tiny"],
+)
+def test_overflowing_report_exits_2(tmp_path, capsys, command, edit, code):
+    """A layer-2 factor beyond float64 exits 2: the full-rank Koopman factor
+    1/det(W^T W)^(1/4) = e^884 (1e-6 * orthogonal).  A rank-64 layer 2 is
+    rank deficient, so its spectral product is "inf", not an overflow, and
+    every total stays finite."""
     net = _digits_net()
     net.layers[1].weight = edit(net.layers[1].weight)
     path = tmp_path / "net.json"
     weightio.save_weights(net, path)
-    assert run_cli(command[0], str(path), *command[1:]) == cli.EXIT_USAGE
+    assert run_cli(command[0], str(path), *command[1:]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code == cli.EXIT_USAGE:
+        assert err.startswith("error: the bound report overflows float64")
+    elif command[0] == "bound":
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["matrix_factor"] == "inf"
+        assert all(0.0 < v < math.inf for v in doc["totals"].values())
+    else:
+        assert "rank deficient" in out.splitlines()[2]
+
+
+def test_inspect_overflowing_koopman_factor_exits_2(tmp_path, capsys):
+    """Layer 1 = 1e-150 * I: its factor within the report carries the activation
+    norm 1e-200 and is finite, the constants-free factor e^1036 that inspect
+    prints is not."""
+    tiny = CustomActivation("tiny", derivative_sup=1.0, inverse_jacobian_sup=1e-200)
+    net = NetworkSpec(6, [
+        LayerSpec(1e-150 * np.eye(6), np.zeros(6), tiny, s_out=3.05),
+        LayerSpec(np.eye(6), np.zeros(6), s_out=3.05),
+    ], GaussianHead(), s_in=3.05)
+    path = tmp_path / "net.json"
+    weightio.save_weights(net, path)
+    assert run_cli("bound", str(path), "--n", "1500") == cli.EXIT_OK
+    capsys.readouterr()
+    assert run_cli("inspect", str(path)) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: the bound report overflows float64")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [("bound", "--n", "1500"), ("inspect",)])
+@pytest.mark.parametrize("shape", ["rank1", "digits"])
+def test_underflowing_sigma_max_squared_exits_0(tmp_path, capsys, command, shape):
+    """A layer scaled by 1e-200: sigma_1^2 is below float64's range, sigma_1 is not."""
+    if shape == "rank1":
+        net = build_network([3, 3, 6], GaussianHead(), seed=0)
+        net.layers[0].weight = 1e-200 * np.outer([1.0, 2.0, 0.5], [1.0, 0.0, 1.0])
+    else:
+        net = _digits_net()
+        net.layers[2].weight = 1e-200 * net.layers[2].weight
+    path = tmp_path / "net.json"
+    weightio.save_weights(net, path)
+    assert run_cli(command[0], str(path), *command[1:]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    if command[0] == "bound":
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert 0.0 < doc["totals"]["neyshabur18"] < math.inf  # reads the stable rank
+    else:
+        assert "nan" not in out
 
 
 @pytest.mark.parametrize("command", [("bound", "--n", "1500"), ("inspect",)])

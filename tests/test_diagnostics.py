@@ -12,32 +12,41 @@ from koopbound.diagnostics import (
     LayerSnapshot,
     SpectrumLog,
     snapshot,
-    stable_rank,
 )
 from koopbound.matcore import LayerSpectrum, condition_number, singular_values
 from koopbound.network import GaussianHead, SoftmaxHead
 from koopbound.trainer import build_network
 
 
+def _stable_rank(w) -> float:
+    return LayerSpectrum.of(w).stable_rank
+
+
 class TestStableRank:
     def test_identity(self):
-        assert stable_rank(np.eye(4)) == pytest.approx(4.0)
+        assert _stable_rank(np.eye(4)) == pytest.approx(4.0)
 
     def test_rank_one(self):
-        assert stable_rank(np.outer([1, 2], [3, 4])) == pytest.approx(1.0)
+        assert _stable_rank(np.outer([1, 2], [3, 4])) == pytest.approx(1.0)
 
     def test_hand_value(self):
         # singular values 3 and 1: (9 + 1) / 9
-        assert stable_rank(np.diag([3.0, 1.0])) == pytest.approx(10 / 9)
+        assert _stable_rank(np.diag([3.0, 1.0])) == pytest.approx(10 / 9)
 
     def test_zero_matrix_undefined(self):
-        with pytest.raises(DiagnosticsError):
-            stable_rank(np.zeros((3, 3)))
+        assert math.isnan(_stable_rank(np.zeros((3, 3))))
 
     def test_reads_layer_spectrum(self):
-        w = np.diag([3.0, 1.0])
-        assert LayerSpectrum.of(w).stable_rank == stable_rank(w) == stable_rank(LayerSpectrum.of(w))
-        assert math.isnan(LayerSpectrum.of(np.zeros((3, 3))).stable_rank)
+        # the snapshot carries the spectrum's value, the Frobenius-norm ratio
+        net = build_network([3, 3, 6], GaussianHead(), seed=5)
+        report = _report(net)
+        for snap, spec in zip(snapshot(report, 1).layers, report.spectra):
+            assert snap.stable_rank == spec.stable_rank
+            assert spec.stable_rank == pytest.approx(spec.fro_norm ** 2 / spec.op_norm ** 2)
+
+    def test_underflowing_sigma_max_squared(self):
+        # sigma_1^2 = 9e-400 is below float64's range; sigma_1 = 3e-200 is not
+        assert _stable_rank(1e-200 * np.diag([3.0, 1.0])) == pytest.approx(10 / 9)
 
 
 def _report(net):
@@ -63,7 +72,7 @@ class TestSnapshot:
                 w = layer.weight
                 assert snap.singular_values == singular_values(w).tolist()
                 assert snap.condition_number == condition_number(w)
-                assert snap.stable_rank == stable_rank(w)
+                assert snap.stable_rank == LayerSpectrum.of(w).stable_rank
                 if w.shape[0] < w.shape[1]:
                     assert snap.layer_factor is None
                 else:
