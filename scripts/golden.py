@@ -6,6 +6,9 @@
 Runs, in process and from the checkout's own `src`:
 
 - `train` synthetic, seed 0, 20 epochs;
+- `train` synthetic, seed 0, 10 epochs, full batch with the per-layer
+  regularizer (`--config {"regularizer": "perlayer", "batch_size": null}`,
+  written to a temporary file);
 - `train` digits, seed 0, 2 epochs, with and without the regularizer;
 - a rank-deficient 3-3-6 Gaussian-head net (seed 0, layer 1 replaced by
   the rank-1 outer([1, 2, 0.5], [1, 0, 1])), saved as rank1/weights.json;
@@ -29,6 +32,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -41,9 +45,12 @@ from koopbound.network import GaussianHead  # noqa: E402
 
 TRAIN_RUNS = {
     "synthetic": ["--task", "synthetic", "--epochs", "20"],
+    "synthetic_perlayer": ["--task", "synthetic", "--epochs", "10"],
     "digits_reg": ["--task", "digits", "--epochs", "2"],
     "digits_unreg": ["--task", "digits", "--epochs", "2", "--no-regularizer"],
 }
+# the --config a train run reads, by run name
+TRAIN_CONFIGS = {"synthetic_perlayer": {"regularizer": "perlayer", "batch_size": None}}
 
 
 def _cli(argv: list[str], stdout_path: Path) -> int:
@@ -59,9 +66,14 @@ def run(outdir: str) -> int:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     worst = 0
-    for name, flags in TRAIN_RUNS.items():
-        argv = ["train", *flags, "--seed", "0", "--outdir", str(out / name)]
-        worst = max(worst, _cli(argv, out / f"{name}.train.txt"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, flags in TRAIN_RUNS.items():
+            argv = ["train", *flags, "--seed", "0", "--outdir", str(out / name)]
+            if name in TRAIN_CONFIGS:
+                config = Path(tmp) / f"{name}.json"
+                config.write_text(json.dumps(TRAIN_CONFIGS[name]))
+                argv += ["--config", str(config)]
+            worst = max(worst, _cli(argv, out / f"{name}.train.txt"))
     # the "numerically singular" and "lacks full column rank" reasons and
     # the inspect "rank deficient" label
     rank1 = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)

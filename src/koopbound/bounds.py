@@ -53,6 +53,7 @@ from .matcore import (  # gram_logdet, LayerSpectrum, operator_norm, restricted_
     InvalidParameterError,
     LayerSpectrum,
     gram_logdet,
+    log1p_square,
     operator_norm,
     pq_norm,
     restricted_det,
@@ -61,7 +62,6 @@ from .network import (
     CustomActivation,
     GaussianHead,
     Identity,
-    LayerSpec,
     NetworkSpec,
     SmoothLeakyRelu,
 )
@@ -114,10 +114,10 @@ class BoundConstants:
 
 
 def _spectrum(layer) -> LayerSpectrum:
-    """The spectrum of a LayerSpectrum, a LayerSpec or a bare matrix."""
+    """The spectrum of a LayerSpectrum or a bare weight matrix."""
     if isinstance(layer, LayerSpectrum):
         return layer
-    return LayerSpectrum.of(layer.weight if isinstance(layer, LayerSpec) else layer)
+    return LayerSpectrum.of(layer)
 
 
 def layer_spectra(net: NetworkSpec) -> list[LayerSpectrum]:
@@ -127,7 +127,7 @@ def layer_spectra(net: NetworkSpec) -> list[LayerSpectrum]:
 
 
 # ---------------------------------------------------------------------------
-# per-layer ingredients; `layer` is a LayerSpectrum, a LayerSpec or a weight matrix
+# per-layer ingredients; `layer` is a LayerSpectrum or a weight matrix
 
 
 def _log_norm_power(spec: LayerSpectrum, s_prev: float) -> float:
@@ -282,7 +282,7 @@ def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants):
             "invertible": None if _why_inapplicable(spec, "invertible") else koop,
             "injective": None if koop is None else koop + log_g,
             "graph": (
-                s / 2.0 * math.log1p(spec.op_norm ** 2) - spec.lifted_logdet / 4.0
+                s / 2.0 * log1p_square(spec.op_norm) - spec.lifted_logdet / 4.0
                 + log_g + log_sig
             ),
             "weighted": log_lift - spec.restricted_logdet / 2.0 + log_g + log_sig,

@@ -166,15 +166,14 @@ def default_train_config(task: str, seed: int) -> trainer.TrainConfig:
     if task == "synthetic":
         return trainer.TrainConfig(
             seed=seed, epochs=200, learning_rate=1.2, optimizer="sgd",
-            regularizer="synthetic", lam=0.01, batch_size=100,
+            regularizer="synthetic", batch_size=100,
         )
     # Two-phase schedule: a sustained high-rate phase lets the spectral
     # penalty separate the regularized run from its pair, then the decay
     # anneals the condition number back down.
     return trainer.TrainConfig(
         seed=seed, epochs=240, learning_rate=1e-2, optimizer="adam",
-        regularizer="perlayer", lam1=0.01, lam2=0.01, reg_layers=(1, 2),
-        batch_size=32, lr_decay=0.96, lr_decay_start=121,
+        regularizer="perlayer", batch_size=32, lr_decay=0.96, lr_decay_start=121,
     )
 
 

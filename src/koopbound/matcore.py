@@ -85,6 +85,21 @@ def numeric_rank(m) -> int:
     return LayerSpectrum.of(m).rank
 
 
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # above it x^2 overflows
+
+
+def log1p_square(x):
+    """log(1 + x^2) for x >= 0: a float via `math`, an array elementwise via
+    numpy (their log1p can differ in the last bit).  Above sqrt(float max),
+    where x^2 overflows, it is 2 log x, equal to log(1 + x^2) in float64."""
+    if isinstance(x, np.ndarray):
+        big = x > _SQRT_FLOAT_MAX
+        out = np.log1p(np.where(big, 0.0, x) ** 2)
+        out[big] = 2.0 * np.log(x[big])
+        return out
+    return 2.0 * math.log(x) if x > _SQRT_FLOAT_MAX else math.log1p(x ** 2)
+
+
 def pq_norm(m, p: float, q: float) -> float:
     """(p, q) matrix norm: outer q-norm over columns of inner p-norms.
 
@@ -93,8 +108,14 @@ def pq_norm(m, p: float, q: float) -> float:
     if p < 1 or q < 1:
         raise InvalidParameterError(f"pq_norm needs p, q >= 1, got p={p}, q={q}")
     a = as_matrix(m)
-    col_norms = np.sum(np.abs(a) ** p, axis=0) ** (1.0 / p)
-    return float(np.sum(col_norms ** q) ** (1.0 / q))
+    with np.errstate(over="ignore"):
+        col_norms = np.sum(np.abs(a) ** p, axis=0) ** (1.0 / p)
+        total = np.sum(col_norms ** q)
+    if not sys.float_info.min <= total < math.inf and np.any(a):
+        # |M|^p left float64's normal range: scale by the largest entry first
+        top = float(np.max(np.abs(a)))
+        return top * pq_norm(a / top, p, q)
+    return float(total ** (1.0 / q))
 
 
 def gram_logdet(m) -> float:
@@ -168,7 +189,7 @@ class LayerSpectrum:
             tol=tol,
             rank=rank,
             gram_logdet=float(2.0 * np.sum(np.log(s))) if rank == cols else None,
-            lifted_logdet=float(np.sum(np.log1p(s ** 2))),
+            lifted_logdet=float(np.sum(log1p_square(s))),
             restricted_logdet=float(np.sum(np.log(kept))),
             restricted_rank=int(kept.size),
             op_norm=float(s[0]),
@@ -191,10 +212,12 @@ class LayerSpectrum:
         """||W||_F^2 / ||W||^2 = sum sigma_i^2 / sigma_1^2; NaN for the zero matrix."""
         if self.op_norm == 0.0:
             return math.nan
-        top = self.op_norm ** 2
-        if top < sys.float_info.min:  # sigma_1^2 underflows: scale before squaring
+        with np.errstate(over="ignore"):
+            total = float(np.sum(self.sigma ** 2))
+        top = self.op_norm * self.op_norm
+        if top < sys.float_info.min or total == math.inf:  # scale before squaring
             return float(np.sum((self.sigma / self.op_norm) ** 2))
-        return float(np.sum(self.sigma ** 2)) / top
+        return total / top
 
     def require_gram_logdet(self) -> float:
         """gram_logdet, or the ShapeError (wide) or RankDeficientError that says why not."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import diagnostics
-from .matcore import NotFiniteError, RankDeficientError
+from .matcore import NotFiniteError, RankDeficientError, log1p_square
 from .network import (
     CustomActivation,
     GaussianHead,
@@ -204,7 +204,7 @@ def regularizer_perlayer(w, lam1: float, lam2: float):
     """lam1 ||W|| + lam2 / det(I + W^T W), value and gradient for one matrix."""
     w = np.asarray(w, dtype=float)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
-    log_det = float(np.sum(np.log1p(s ** 2)))
+    log_det = float(np.sum(log1p_square(s)))
     det_inv = math.exp(-log_det)
     value = lam1 * float(s[0]) + lam2 * det_inv
     # d det(I + W^T W)^(-1) / dW = -det^(-1) * 2 W (I + W^T W)^(-1)
@@ -335,6 +335,13 @@ def build_network(
 # training loop
 
 
+# Adam's settings, the weight of every regularizer term, and the 1-based
+# layers the per-layer regularizer acts on
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+REG_LAMBDA = 0.01
+REG_LAYERS = (1, 2)
+
+
 @dataclass
 class TrainConfig:
     seed: int = 0
@@ -343,26 +350,14 @@ class TrainConfig:
     lr_decay: float = 1.0  # per-epoch multiplicative factor
     lr_decay_start: int = 1  # first epoch the decay applies to
     optimizer: str = "sgd"  # or "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     regularizer: str = "none"  # none | synthetic | perlayer
-    lam: float = 0.01
-    lam1: float = 0.01
-    lam2: float = 0.01
-    reg_layers: tuple[int, ...] = (1, 2)  # 1-based, perlayer only
     batch_size: int | None = None  # None = full batch
 
     def __post_init__(self):
-        try:
-            self.reg_layers = tuple(self.reg_layers)
-        except TypeError:
-            raise TrainerError("reg_layers must be a list of layer numbers") from None
-        ints = [self.seed, self.epochs, self.lr_decay_start, *self.reg_layers]
+        ints = [self.seed, self.epochs, self.lr_decay_start]
         if self.batch_size is not None:
             ints.append(self.batch_size)
-        reals = [self.learning_rate, self.lr_decay, self.beta1, self.beta2, self.eps,
-                 self.lam, self.lam1, self.lam2]
+        reals = [self.learning_rate, self.lr_decay]
         names = [self.optimizer, self.regularizer]
         # bool is an Integral, so a JSON true would otherwise pass as 1
         if not (all(isinstance(v, numbers.Integral) for v in ints)
@@ -370,16 +365,12 @@ class TrainConfig:
                 and not any(isinstance(v, bool) for v in ints + reals)
                 and all(isinstance(v, str) for v in names)):
             raise TrainerError("config field of the wrong type: optimizer and regularizer "
-                               "take strings, seed, epochs, lr_decay_start, reg_layers "
-                               "and batch_size integers, the rest numbers")
+                               "take strings, seed, epochs, lr_decay_start and batch_size "
+                               "integers, the rest numbers")
         for ok, message in (
             (self.seed >= 0, "seed must be >= 0"),
             (self.epochs >= 1, "epochs must be >= 1"),
             (0 <= self.learning_rate < math.inf, "learning rate must be finite and >= 0"),
-            (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1, "beta1 and beta2 must be in [0, 1)"),
-            (0 < self.eps < math.inf, "eps must be positive and finite"),
-            (all(0 <= v < math.inf for v in (self.lam, self.lam1, self.lam2)),
-             "lam, lam1 and lam2 must be finite and >= 0"),
             (0.0 < self.lr_decay <= 1.0, "lr_decay must be in (0, 1]"),
             (self.lr_decay_start >= 1, "lr_decay_start must be >= 1"),
             (self.optimizer in ("sgd", "adam"), f"unknown optimizer {self.optimizer!r}"),
@@ -387,7 +378,6 @@ class TrainConfig:
              f"unknown regularizer {self.regularizer!r}"),
             (self.batch_size is None or self.batch_size >= 1,
              "batch_size must be null (full batch) or >= 1"),
-            (all(idx >= 1 for idx in self.reg_layers), "reg_layers are 1-based"),
         ):
             if not ok:
                 raise TrainerError(message)
@@ -467,20 +457,20 @@ def _keep_freed_heap() -> None:
 def _apply_regularizer(net: NetworkSpec, config: TrainConfig, grads) -> None:
     """Add the regularizer's weight gradients to the loss gradients in place."""
     if config.regularizer == "synthetic":
-        _, reg_grads = regularizer_synthetic(net, config.lam)
+        _, reg_grads = regularizer_synthetic(net, REG_LAMBDA)
         for (gw, _), rg in zip(grads, reg_grads):
             gw += rg
     elif config.regularizer == "perlayer":
-        for idx in config.reg_layers:
-            _, g = regularizer_perlayer(net.layers[idx - 1].weight, config.lam1, config.lam2)
+        for idx in REG_LAYERS:
+            _, g = regularizer_perlayer(net.layers[idx - 1].weight, REG_LAMBDA, REG_LAMBDA)
             grads[idx - 1][0][:] += g
 
 
 def check_setup(config: TrainConfig, net: NetworkSpec) -> None:
     """The TrainerError that `train` would raise before epoch 1, if any."""
     _head_loss(net.head)
-    if config.regularizer == "perlayer" and max(config.reg_layers, default=0) > net.depth:
-        raise TrainerError(f"reg_layers {config.reg_layers} exceed the depth {net.depth}")
+    if config.regularizer == "perlayer" and max(REG_LAYERS) > net.depth:
+        raise TrainerError(f"per-layer regularizer needs layers {REG_LAYERS}; depth {net.depth}")
     if config.regularizer == "synthetic":
         for j, layer in enumerate(net.layers, start=1):
             if layer.out_dim < layer.in_dim:
@@ -517,12 +507,9 @@ def train(
     metrics: list[EpochMetrics] = []
     diverged = False
 
-    adam_m = [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers
-    ]
-    adam_v = [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers
-    ]
+    # [W_1, b_1, ..., W_L, b_L], updated in place in this order, and Adam's (m, v) per parameter
+    params = [p for layer in net.layers for p in (layer.weight, layer.bias)]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     adam_t = 0
 
     lr = config.learning_rate
@@ -531,24 +518,20 @@ def train(
         nonlocal adam_t
         _, grads = loss_and_grads(net, batch_x, batch_y, head_loss)
         _apply_regularizer(net, config, grads)
+        flat_grads = [g for pair in grads for g in pair]
         if config.optimizer == "sgd":
-            for layer, (gw, gb) in zip(net.layers, grads):
-                layer.weight -= lr * gw
-                layer.bias -= lr * gb
-        else:
-            adam_t += 1
-            bc1 = 1.0 - config.beta1 ** adam_t
-            bc2 = 1.0 - config.beta2 ** adam_t
-            for j, (layer, (gw, gb)) in enumerate(zip(net.layers, grads)):
-                for param, grad, m, v in (
-                    (layer.weight, gw, adam_m[j][0], adam_v[j][0]),
-                    (layer.bias, gb, adam_m[j][1], adam_v[j][1]),
-                ):
-                    m *= config.beta1
-                    m += (1.0 - config.beta1) * grad
-                    v *= config.beta2
-                    v += (1.0 - config.beta2) * grad * grad
-                    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+            for param, grad in zip(params, flat_grads):
+                param -= lr * grad
+            return
+        adam_t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** adam_t
+        bc2 = 1.0 - ADAM_BETA2 ** adam_t
+        for param, grad, (m, v) in zip(params, flat_grads, moments):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate * config.lr_decay ** max(

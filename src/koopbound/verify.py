@@ -36,14 +36,8 @@ def _verdict(suite: str, checks: list[dict]) -> dict:
     }
 
 
-def suite_lemma1(
-    num_matrices: int = 100, seed: int = 0, inject_error: bool = False
-) -> dict:
-    """Sampled density-ratio suprema never exceed the closed form.
-
-    inject_error deliberately corrupts the closed form so failure
-    reporting can be exercised.
-    """
+def suite_lemma1(num_matrices: int = 100, seed: int = 0) -> dict:
+    """Sampled density-ratio suprema never exceed the closed form."""
     rng = np.random.default_rng(seed)
     checks = []
     worst_gap = -math.inf
@@ -55,8 +49,6 @@ def suite_lemma1(
         w *= target / bounds_mod.operator_norm(w)
         s = default_smoothness(d)
         closed = bounds_mod.density_ratio_bound(w, s)
-        if inject_error:
-            closed *= 0.5
         sampled = bounds_mod.density_ratio_grid_sup(w, s, s)
         worst_gap = max(worst_gap, sampled - closed)
         if target > 1.0:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,9 +416,25 @@ def test_underflowing_sigma_max_squared_exits_0(tmp_path, capsys, command, shape
     out = capsys.readouterr().out
     if command[0] == "bound":
         doc = json.loads(out, parse_constant=_reject_constant)
-        assert 0.0 < doc["totals"]["neyshabur18"] < math.inf  # reads the stable rank
+        # neyshabur18 reads the stable rank; the others the Frobenius norm
+        for variant in ("neyshabur18", "neyshabur15", "golowich18", "combined"):
+            assert 0.0 < doc["totals"][variant] < math.inf
     else:
         assert "nan" not in out
+
+
+def test_overflowing_sigma_max_squared_exits_0(tmp_path, capsys):
+    """Layer 2 scaled by 1e160: sigma_1^2 and the squared entries are beyond
+    float64's range; the per-layer factors and the Frobenius norm are not."""
+    net = build_network([3, 3, 6], SoftmaxHead(), seed=0)
+    net.layers[1].weight *= 1e160
+    path = tmp_path / "net.json"
+    weightio.save_weights(net, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("bound", str(path), "--n", "1500") == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["totals"] and all(0.0 < v < math.inf for v in doc["totals"].values())
 
 
 @pytest.mark.parametrize("command", [("bound", "--n", "1500"), ("inspect",)])

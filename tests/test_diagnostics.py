@@ -1,6 +1,7 @@
 """Spectral summaries and the per-epoch training log."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ class TestStableRank:
     def test_underflowing_sigma_max_squared(self):
         # sigma_1^2 = 9e-400 is below float64's range; sigma_1 = 3e-200 is not
         assert _stable_rank(1e-200 * np.diag([3.0, 1.0])) == pytest.approx(10 / 9)
+
+    def test_overflowing_squares(self):
+        # sigma_1^2 = 9e320 is beyond float64's range; so is 2e308, the sum
+        # of the squares of two singular values 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _stable_rank(1e160 * np.diag([3.0, 1.0])) == pytest.approx(10 / 9)
+            assert _stable_rank(np.diag([1e154, 1e154])) == pytest.approx(2.0)
 
 
 def _report(net):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from koopbound.matcore import (
     SvdConvergenceError,
     condition_number,
     gram_logdet,
+    log1p_square,
     numeric_rank,
     operator_norm,
     pq_norm,
@@ -104,6 +107,32 @@ class TestPqNorm:
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
         assert pq_norm(a + b, 2, 1) <= pq_norm(a, 2, 1) + pq_norm(b, 2, 1) + 1e-12
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (2, 1)])
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_scales_beyond_float_range(self, p, q, scale):
+        # |a|^2 underflows to 0 at 1e-200 and overflows at 1e160
+        a = random_matrix(np.random.default_rng(6), 5, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = pq_norm(scale * a, p, q)
+        assert scaled == pytest.approx(scale * pq_norm(a, p, q), rel=1e-14)
+
+
+class TestLog1pSquare:
+    SQRT_MAX = math.sqrt(sys.float_info.max)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-200, 0.5, 3.0, 1e154, SQRT_MAX])
+    def test_plain_formula_where_square_is_finite(self, x):
+        assert log1p_square(x) == math.log1p(x ** 2)
+        assert log1p_square(np.array([x]))[0] == np.log1p(np.array([x]) ** 2)[0]
+
+    @pytest.mark.parametrize("x", [np.nextafter(SQRT_MAX, math.inf), 1e160, 1e300])
+    def test_no_square_where_it_overflows(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [log1p_square(float(x)), *log1p_square(np.array([1.0, x]))[1:]]
+        assert values == [2.0 * math.log(x)] * 2
 
 
 class TestGramLogdet:

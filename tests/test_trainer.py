@@ -329,10 +329,8 @@ class TestConfigValidation:
         ("batch_size", 0),
         ("batch_size", -4),
         ("batch_size", 2.5),
-        ("reg_layers", (0, 1)),
-        ("reg_layers", 5),
         ("epochs", "3"),
-        ("lam", "x"),
+        ("lr_decay", "x"),
         ("optimizer", ["sgd"]),
         ("learning_rate", float("nan")),
         ("seed", -1),
@@ -344,9 +342,9 @@ class TestConfigValidation:
             TrainConfig(**{field: value})
 
     def test_reg_layers_beyond_depth_rejected_before_training(self):
-        cfg = TrainConfig(epochs=1, regularizer="perlayer", reg_layers=(1, 3))
-        with pytest.raises(TrainerError):
-            train(cfg, make_synthetic(20, seed=0), build_network([3, 3, 6], GaussianHead(), seed=0))
+        cfg = TrainConfig(epochs=1, regularizer="perlayer")
+        with pytest.raises(TrainerError, match=r"layers \(1, 2\); depth 1"):
+            train(cfg, make_synthetic(20, seed=0), build_network([3, 6], GaussianHead(), seed=0))
 
 
 class TestRankCollapse:
@@ -404,7 +402,7 @@ class TestRankCollapse:
 
 
 def _small_run(**overrides):
-    kwargs = dict(epochs=5, learning_rate=0.05, regularizer="synthetic", lam=0.01)
+    kwargs = dict(epochs=5, learning_rate=0.05, regularizer="synthetic")
     kwargs.update(overrides)
     cfg = TrainConfig(**kwargs)
     ds = make_synthetic(60, seed=0)
@@ -506,7 +504,7 @@ class TestEpochEvaluation:
                            rng.random((60, 8)), rng.integers(0, 4, 60))
             net = build_network([8, 12, 4], SoftmaxHead(), seed=2)
             cfg = TrainConfig(epochs=3, learning_rate=0.01, optimizer="adam",
-                              regularizer="perlayer", reg_layers=(1,), batch_size=32)
+                              regularizer="perlayer", batch_size=32)
             head_loss = "cross_entropy"
         else:
             data = make_synthetic(200, seed=1)

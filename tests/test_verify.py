@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from koopbound import verify
 from koopbound.verify import (
     SUITES,
     run_suites,
@@ -29,8 +30,11 @@ class TestLemma1Suite:
         assert verdict["passed"]
         assert all(c["passed"] for c in verdict["checks"])
 
-    def test_injected_corruption_names_failing_invariant(self):
-        verdict = suite_lemma1(num_matrices=15, seed=3, inject_error=True)
+    def test_injected_corruption_names_failing_invariant(self, monkeypatch):
+        real = verify.bounds_mod.density_ratio_bound
+        monkeypatch.setattr(verify.bounds_mod, "density_ratio_bound",
+                            lambda w, s_prev: 0.5 * real(w, s_prev))
+        verdict = suite_lemma1(num_matrices=15, seed=3)
         assert not verdict["passed"]
         failing = [c for c in verdict["checks"] if not c["passed"]]
         assert failing
