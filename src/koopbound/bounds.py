@@ -29,9 +29,10 @@ their natural logs, read from the spectrum's log-determinants:
 ratio is formed, so a (scaled-)orthogonal layer contributes log 1 = 0
 whatever its width.  A variant's total is exp(log prefactor + sum of its
 per-layer logs), exponentiated once; the report's per-layer factors are
-the exponentials of the table's entries.
-`koopman_layer_factor` is the constants-free part of the injective
-entry, from the same log helper.  `density_ratio_grid_sup` is the
+the exponentials of the table's entries.  A report row also holds the
+layer's stable rank and its constants-free injective factor
+(`koopman_factor`, from the same log helper), which the training
+spectrum log and `inspect` print.  `density_ratio_grid_sup` is the
 sampled oracle for the density-ratio closed form, on a fixed radius grid.
 The activation constant ||K_sigma|| comes from the closed-form extremes
 of the activation's derivative.
@@ -138,7 +139,7 @@ def _log_norm_power(spec: LayerSpectrum, s_prev: float) -> float:
 
 
 def _exp_or_inf(x: float) -> float:
-    """exp(x), or +inf beyond float64: for report fields that are not factors."""
+    """exp(x), or +inf beyond float64: for report fields that enter no total."""
     try:
         return math.exp(x)
     except OverflowError:
@@ -188,7 +189,8 @@ def _log_koopman_factor(spec: LayerSpectrum, s_prev: float) -> float | None:
 def koopman_layer_factor(layer, s_prev: float) -> float:
     """max{1, ||W||^s_prev} / det(W^T W)^(1/4); equals 1 for orthogonal W.
 
-    The constants-free part of `_factor_table`'s injective entry.  Raises
+    The constants-free part of `_factor_table`'s injective entry, equal to
+    a `full_report` row's `koopman_factor`; public for the gates.  Raises
     ShapeError for a wide layer and RankDeficientError for a
     rank-deficient one (LayerSpectrum.require_gram_logdet), and
     OverflowError when the factor exceeds float64.
@@ -497,6 +499,8 @@ class LayerRecord:
     numeric_rank: int
     variant_choice: str
     factors: dict[str, float | None]  # per-variant layer factor, exp of a _factor_table entry
+    stable_rank: float | None  # None for an all-zero layer
+    koopman_factor: float | None  # as koopman_layer_factor; None as det_factor, +inf beyond float64
 
 
 def _map_leaves(x, fn):
@@ -605,6 +609,7 @@ def full_report(
     attempt("golowich18", _golowich18, spectra, c.n)
     attempt("bartlett17", _bartlett17, net, spectra, c.n)
 
+    log_koopman = [_log_koopman_factor(spec, s) for spec, s in zip(spectra, s_chain)]
     layers = [
         LayerRecord(
             index=j + 1,
@@ -622,6 +627,8 @@ def full_report(
                 (tag for tag in ("invertible", "injective") if row[tag] is not None), "graph"
             ),
             factors={k: None if v is None else math.exp(v) for k, v in row.items()},
+            stable_rank=None if spec.op_norm == 0.0 else spec.stable_rank,
+            koopman_factor=None if log_koopman[j] is None else _exp_or_inf(log_koopman[j]),
         )
         for j, (spec, row) in enumerate(zip(spectra, table))
     ]

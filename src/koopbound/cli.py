@@ -19,6 +19,11 @@ stable_rank, koopman_factor, test_metric.
 Bound CSV: one row per (layer, variant) factor plus per-variant total
 rows; columns layer, variant, factor, sigma_max, sigma_min, cond,
 numeric_rank.  Bound JSON is strict: a non-finite float is written "inf".
+A layer row's stable_rank is null for an all-zero layer, its
+koopman_factor null where the injective precondition fails and "inf"
+beyond float64 (`inspect` then exits 2).
+
+`train --config` sets any TrainConfig field but the seed (--seed, --seeds).
 
 Verify JSON: {passed, suites: [{suite, passed, checks: [{name, passed,
 detail, values}], elapsed_s}]}; `values` holds the check's numbers at
@@ -93,37 +98,33 @@ def _report_errors():
 
 
 def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
-    """Report with default constants, one SVD per layer."""
-    with _report_errors():
-        spectra = bounds_mod.layer_spectra(net)
-        c = bounds_mod.default_constants(net, n, spectra=spectra, **constants)
-        return bounds_mod.full_report(net, c, spectra=spectra)
+    """Report with default constants, one SVD per layer; call it within `_report_errors`."""
+    spectra = bounds_mod.layer_spectra(net)
+    c = bounds_mod.default_constants(net, n, spectra=spectra, **constants)
+    return bounds_mod.full_report(net, c, spectra=spectra)
 
 
 def cmd_inspect(args) -> int:
     net = _load_network(args.weightfile)
-    report = _full_report(net, n=1)
-    with _report_errors():  # the constants-free Koopman factor can overflow alone
-        snaps = diagnostics.snapshot(report, 0).layers
-    header = f"{'layer':>5} {'sigma_max':>12} {'sigma_min':>12} {'cond':>12} {'stable_rank':>12} {'koopman':>12}"
-    print(header)
+    with _report_errors():  # snapshot raises OverflowError for a Koopman factor of +inf
+        rows = diagnostics.snapshot(_full_report(net, n=1), 0).layers
+    print(f"{'layer':>5} {'sigma_max':>12} {'sigma_min':>12} {'cond':>12} {'stable_rank':>12} {'koopman':>12}")
     lines = ["layer,sigma_max,sigma_min,cond,stable_rank,koopman_factor"]
-    for j, (snap, row) in enumerate(zip(snaps, report.layers), start=1):
-        smax, smin, srank = snap.singular_values[0], snap.singular_values[-1], snap.stable_rank
-        cond = f"{snap.condition_number:.6g}"  # "inf" for a singular layer
-        if row.variant_choice == "graph":
-            koop_txt = "n/a"
+    for row in rows:
+        smax, smin = row.singular_values[0], row.singular_values[-1]
+        srank = math.nan if row.stable_rank is None else row.stable_rank  # a zero layer
+        cond = f"{row.condition_number:.6g}"  # "inf" for a singular layer
+        # the pure matrix factor, without the activation norm
+        koop_txt = "n/a" if row.koopman_factor is None else f"{row.koopman_factor:.6g}"
+        note = ""
+        if row.koopman_factor is None:
             why = "wide" if row.rows < row.cols else "rank deficient"
             note = f"  ({why}: invertible/injective variants inapplicable)"
-        else:
-            # the pure matrix factor, without the activation norm
-            koop_txt = f"{snap.layer_factor:.6g}"
-            note = ""
         print(
-            f"{j:>5} {smax:>12.6g} {smin:>12.6g} {cond:>12} "
+            f"{row.index:>5} {smax:>12.6g} {smin:>12.6g} {cond:>12} "
             f"{srank:>12.6g} {koop_txt:>12}{note}"
         )
-        lines.append(f"{j},{smax!r},{smin!r},{cond},{srank!r},{koop_txt}")
+        lines.append(f"{row.index},{smax!r},{smin!r},{cond},{srank!r},{koop_txt}")
     if args.csv:
         Path(args.csv).write_text("\n".join(lines) + "\n")
     return EXIT_OK
@@ -137,10 +138,11 @@ def cmd_bound(args) -> int:
     g_factors = (
         _parse_floats(args.g_factors, "--g-factors") if args.g_factors else None
     )
-    report = _full_report(
-        net, args.n, B=args.B, g_norm=args.g_norm,
-        sigma_norms=sigma_norms, g_factors=g_factors,
-    )
+    with _report_errors():
+        report = _full_report(
+            net, args.n, B=args.B, g_norm=args.g_norm,
+            sigma_norms=sigma_norms, g_factors=g_factors,
+        )
     if args.variants:
         wanted = [v.strip() for v in args.variants.split(",")]
         for v in wanted:
@@ -226,6 +228,8 @@ def _apply_overrides(config: trainer.TrainConfig, args) -> trainer.TrainConfig:
             raise CliError(f"--config: JSON nested too deeply ({exc})") from exc
         if not isinstance(doc, dict):
             raise CliError("--config: expected a JSON object")
+        if "seed" in doc:
+            raise CliError("--config: the seed is set with --seed or --seeds, not in the config")
         fields = {f.name for f in dataclasses.fields(trainer.TrainConfig)}
         unknown = set(doc) - fields
         if unknown:
@@ -247,7 +251,6 @@ def cmd_train(args) -> int:
         rundir = outdir if len(seeds) == 1 else outdir / f"seed{seed}"
         try:
             config = _apply_overrides(default_train_config(args.task, seed), args)
-            config = dataclasses.replace(config, seed=seed)
             run = _run_one(args.task, config, rundir)
         except trainer.TrainerError as exc:
             raise CliError(str(exc)) from exc

@@ -1,18 +1,18 @@
 """Per-layer spectral time series logged during training.
 
-Only scalar summaries are kept per epoch (singular values, condition
-number, stable rank, Koopman layer factor), never the matrices
-themselves, so a long run stays cheap to hold and serialize.  Each
-record is a projection of the epoch's bound report.
+Each epoch keeps the layer rows of its bound report (singular values,
+condition number, stable rank, constants-free Koopman factor), never the
+matrices themselves, so a long run stays cheap to hold and serialize.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
-from .bounds import BoundReport, koopman_layer_factor
+from .bounds import BoundReport, LayerRecord
 
 
 class DiagnosticsError(Exception):
@@ -20,17 +20,9 @@ class DiagnosticsError(Exception):
 
 
 @dataclass
-class LayerSnapshot:
-    singular_values: list[float]
-    condition_number: float
-    stable_rank: float
-    layer_factor: float | None  # None marks rank-deficient / wide layers
-
-
-@dataclass
 class EpochRecord:
     epoch: int
-    layers: list[LayerSnapshot]
+    layers: list[LayerRecord]
     test_metric: float | None = None
 
 
@@ -47,7 +39,8 @@ class SpectrumLog:
         self.epochs.append(record)
 
     def to_csv(self) -> str:
-        """One row per (epoch, layer); infinities become the string 'inf'."""
+        """One row per (epoch, layer); infinities become the string 'inf',
+        a missing stable rank or Koopman factor 'nan'."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
@@ -55,17 +48,16 @@ class SpectrumLog:
              "koopman_factor", "test_metric"]
         )
         for rec in self.epochs:
-            for j, snap in enumerate(rec.layers, start=1):
+            for row in rec.layers:
                 writer.writerow(
                     [
                         rec.epoch,
-                        j,
-                        repr(snap.singular_values[0]),
-                        repr(snap.singular_values[-1]),
-                        repr(snap.condition_number),  # repr(inf) is "inf"
-                        repr(snap.stable_rank),
-                        "nan" if snap.layer_factor is None
-                        else repr(snap.layer_factor),
+                        row.index,
+                        repr(row.singular_values[0]),
+                        repr(row.singular_values[-1]),
+                        repr(row.condition_number),  # repr(inf) is "inf"
+                        "nan" if row.stable_rank is None else repr(row.stable_rank),
+                        "nan" if row.koopman_factor is None else repr(row.koopman_factor),
                         "" if rec.test_metric is None else repr(rec.test_metric),
                     ]
                 )
@@ -73,22 +65,13 @@ class SpectrumLog:
 
 
 def snapshot(report: BoundReport, epoch: int, test_metric: float | None = None) -> EpochRecord:
-    """Project a bound report of the current weights onto one epoch record.
+    """The epoch record of a bound report of the current weights: its layer rows.
 
-    Reads the report's layer rows, its smoothness chain and the spectra it
-    was computed from; runs no SVD.  A report read back from JSON has no
-    spectra, and gives a ValueError.
+    Runs no SVD and reads no spectra, so a report read back from JSON
+    serves too.  Raises OverflowError when a layer's constants-free
+    Koopman factor exceeds float64 (the row holds +inf).
     """
-    s_chain = report.metadata["smoothness_chain"][:-1]  # each layer's input space
-    snaps = [
-        LayerSnapshot(
-            singular_values=list(row.singular_values),
-            condition_number=row.condition_number,
-            stable_rank=spec.stable_rank,
-            layer_factor=(
-                None if row.variant_choice == "graph" else koopman_layer_factor(spec, s)
-            ),
-        )
-        for row, spec, s in zip(report.layers, report.spectra, s_chain, strict=True)
-    ]
-    return EpochRecord(epoch=epoch, layers=snaps, test_metric=test_metric)
+    for row in report.layers:
+        if row.koopman_factor == math.inf:
+            raise OverflowError(f"layer {row.index}: the Koopman factor exceeds float64")
+    return EpochRecord(epoch=epoch, layers=list(report.layers), test_metric=test_metric)

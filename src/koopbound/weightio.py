@@ -60,13 +60,18 @@ def _spec_to_json(obj, registry: dict, what: str) -> dict:
     }
 
 
-def _has_bool(x) -> bool:
-    """Whether x is, or a list in x holds, a JSON true/false, which float()
-    would read as 1.0/0.0.  x has been read as numbers, so it is shallow."""
-    if not isinstance(x, list):
-        return type(x) is bool
-    types = set(map(type, x))
-    return bool in types or (list in types and any(map(_has_bool, x)))
+# what each schema slot accepts, as the types json.loads returns
+_JSON_TYPES = {"integer": {int}, "number": {int, float}, "number or string": {int, float, str}}
+
+
+def _check_types(values: list, kind: str, what: str) -> None:
+    """Raise WeightFileError unless `values` is a list of JSON `kind`s.
+
+    The types must match exactly: int() and float() would read a JSON
+    true/false as 1/0 and "3" as 3, and int() would cut 3.7 to 3.
+    """
+    if not (isinstance(values, list) and set(map(type, values)) <= _JSON_TYPES[kind]):
+        raise WeightFileError(f"{what}: expected a JSON {kind}")
 
 
 def _spec_from_json(doc: dict, registry: dict, what: str):
@@ -75,8 +80,7 @@ def _spec_from_json(doc: dict, registry: dict, what: str):
         raise WeightFileError(f"unknown {what} kind {kind!r}")
     params = doc.get("params", {})
     spec = registry[kind](**params)
-    if _has_bool(list(params.values())):
-        raise WeightFileError(f"{what} params: true/false is not a number")
+    _check_types(list(params.values()), "number or string", f"{what} params")
     return spec
 
 
@@ -101,27 +105,28 @@ def network_to_json_dict(net: NetworkSpec) -> dict:
 
 
 # what malformed values raise while a document is turned into a network
-# (OverflowError: an infinite row count, or an integer beyond float64)
+# (OverflowError: an integer beyond float64)
 _PARSE_ERRORS = (AttributeError, TypeError, ValueError, OverflowError, MatCoreError)
 
 
 def _layer_from_json(j: int, rec) -> LayerSpec:
     try:
-        rows, cols = int(rec["rows"]), int(rec["cols"])
+        rows, cols = rec["rows"], rec["cols"]
+        _check_types([rows, cols], "integer", f"layer {j}: rows and cols")
+        for key in ("weights", "bias"):
+            _check_types(rec[key], "number", f"layer {j}: {key}")
+        _check_types([rec["s"]], "number", f"layer {j}: s")
         weights = np.asarray(rec["weights"], dtype=np.float64)
         if weights.size != rows * cols:
             raise WeightFileError(
                 f"layer {j}: {weights.size} weights for a {rows}x{cols} matrix"
             )
-        layer = LayerSpec(
+        return LayerSpec(
             weight=weights.reshape(rows, cols),
             bias=np.asarray(rec["bias"], dtype=np.float64),
             activation=_spec_from_json(rec["activation"], _ACTIVATIONS, "activation"),
             s_out=float(rec["s"]),
         )
-        if _has_bool([rec["weights"], rec["bias"], rec["s"]]):
-            raise WeightFileError(f"layer {j}: true/false is not a number")
-        return layer
     except KeyError as exc:
         raise WeightFileError(f"layer {j}: missing field {exc}") from exc
     except _PARSE_ERRORS as exc:
@@ -142,9 +147,8 @@ def network_from_json_dict(doc: dict) -> NetworkSpec:
         raise WeightFileError("weight file has no layers")
     try:
         head = _spec_from_json(doc.get("head", {}), _HEADS, "head")
+        _check_types([doc["s_in"]], "number", "s_in")
         s_in = float(doc["s_in"])
-        if type(doc["s_in"]) is bool:
-            raise WeightFileError("s_in: true/false is not a number")
     except KeyError as exc:
         raise WeightFileError(f"missing field {exc}") from exc
     except _PARSE_ERRORS as exc:

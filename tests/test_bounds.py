@@ -126,6 +126,32 @@ class TestKoopmanLayerFactor:
         expected = 1.0 / math.exp(bm.gram_logdet(w) / 4.0)
         assert koopman_layer_factor(w, s) == pytest.approx(expected)
 
+    def test_equals_report_row(self):
+        # tall, square and wide layers: the report row holds the same
+        # expression as koopman_layer_factor, bit for bit, and None for a wide layer
+        for net in (trainer.build_network([3, 3, 6], GaussianHead(), seed=5), _digits_shape_net()):
+            report = full_report(net, default_constants(net, 10))
+            s_chain = net.smoothness_chain()
+            for j, (row, layer) in enumerate(zip(report.layers, net.layers)):
+                w = layer.weight
+                if w.shape[0] < w.shape[1]:
+                    assert row.koopman_factor is None
+                else:
+                    assert row.koopman_factor == koopman_layer_factor(w, s_chain[j])
+
+    def test_report_row_beyond_float64_is_inf(self):
+        # 1e-150 * I: 1 / det(W^T W)^(1/4) = e^1036; the activation norm
+        # 1e-200 keeps the layer's variant factors finite
+        tiny = CustomActivation("tiny", derivative_sup=1.0, inverse_jacobian_sup=1e-200)
+        net = NetworkSpec(6, [
+            LayerSpec(1e-150 * np.eye(6), np.zeros(6), tiny, s_out=3.05),
+            LayerSpec(np.eye(6), np.zeros(6), s_out=3.05),
+        ], GaussianHead(), s_in=3.05)
+        report = full_report(net, default_constants(net, 10))
+        assert report.layers[0].koopman_factor == math.inf
+        assert report.layers[1].koopman_factor == pytest.approx(1.0)
+        assert BoundReport.from_json(report.to_json()).layers == report.layers
+
 
 class TestGFactor:
     def test_full_rank_square_is_one(self):

@@ -134,6 +134,11 @@ MALFORMED = {
     "bool_s_in": lambda d: d.update(s_in=True),
     "bool_s": lambda d: d["layers"][0].update(s=True),
     "bool_head_param": lambda d: d["head"]["params"].update(c=True),
+    # int() and float() would read these as numbers: 3, 3 and 0.5, 2.0
+    "float_rows": lambda d: d["layers"][0].update(rows=3.7),
+    "string_rows": lambda d: d["layers"][0].update(rows="3"),
+    "string_weight": lambda d: d["layers"][0]["weights"].__setitem__(0, "0.5"),
+    "string_s": lambda d: d["layers"][0].update(s="2.0"),
 }
 
 
@@ -393,7 +398,8 @@ def test_inspect_overflowing_koopman_factor_exits_2(tmp_path, capsys):
     path = tmp_path / "net.json"
     weightio.save_weights(net, path)
     assert run_cli("bound", str(path), "--n", "1500") == cli.EXIT_OK
-    capsys.readouterr()
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["layers"][0]["koopman_factor"] == "inf"
     assert run_cli("inspect", str(path)) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: the bound report overflows float64")
@@ -476,6 +482,22 @@ def test_bound_json_is_strict_and_round_trips(tmp_path, capsys):
     assert report.matrix_factor == math.inf
     assert report.layers[0].condition_number == math.inf
     assert report.to_json() == text
+
+
+def test_zero_layer_report_is_strict_json(tmp_path, capsys):
+    """An all-zero layer 2 has no stable rank: null in the bound JSON, nan in
+    the inspect table."""
+    net = build_network([3, 3, 6], GaussianHead(), seed=0)
+    net.layers[1].weight = np.zeros((6, 3))
+    path = tmp_path / "net.json"
+    weightio.save_weights(net, path)
+    assert run_cli("bound", str(path), "--n", "1000") == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["layers"][1]["stable_rank"] is None
+    assert doc["layers"][1]["koopman_factor"] is None
+    assert 0.0 < doc["layers"][0]["stable_rank"] < math.inf
+    assert run_cli("inspect", str(path)) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[2].split()[4] == "nan"
 
 
 UNWRITABLE_OUTPUTS = {
@@ -589,6 +611,20 @@ class TestTrainCommand:
         metrics = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert len(metrics) == 3  # header + 2 epochs
         capsys.readouterr()
+
+    def test_config_seed_is_usage_error(self, tmp_path, capsys):
+        # the seed comes from --seed or --seeds, which would silently override it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "epochs": 1}))
+        for flags in ((), ("--seeds", "1,2")):
+            code = run_cli(
+                "train", "--task", "synthetic", "--config", str(cfg), *flags,
+                "--outdir", str(tmp_path / "run"),
+            )
+            assert code == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: --config") and "--seed" in err
+            assert not (tmp_path / "run").exists()
 
     def test_unknown_config_field(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -6,11 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from koopbound.bounds import default_constants, full_report, koopman_layer_factor
+from koopbound.bounds import BoundReport, LayerRecord, default_constants, full_report
 from koopbound.diagnostics import (
     DiagnosticsError,
     EpochRecord,
-    LayerSnapshot,
     SpectrumLog,
     snapshot,
 )
@@ -38,11 +37,11 @@ class TestStableRank:
         assert math.isnan(_stable_rank(np.zeros((3, 3))))
 
     def test_reads_layer_spectrum(self):
-        # the snapshot carries the spectrum's value, the Frobenius-norm ratio
+        # the report row carries the spectrum's value, the Frobenius-norm ratio
         net = build_network([3, 3, 6], GaussianHead(), seed=5)
         report = _report(net)
-        for snap, spec in zip(snapshot(report, 1).layers, report.spectra):
-            assert snap.stable_rank == spec.stable_rank
+        for row, spec in zip(snapshot(report, 1).layers, report.spectra):
+            assert row.stable_rank == spec.stable_rank
             assert spec.stable_rank == pytest.approx(spec.fro_norm ** 2 / spec.op_norm ** 2)
 
     def test_underflowing_sigma_max_squared(self):
@@ -73,20 +72,16 @@ class TestSnapshot:
             ),
         ]
         for net in nets:
-            rec = snapshot(_report(net), epoch=3, test_metric=0.5)
+            report = _report(net)
+            rec = snapshot(report, epoch=3, test_metric=0.5)
             assert rec.epoch == 3 and rec.test_metric == 0.5
-            assert len(rec.layers) == net.depth
-            s_chain = net.smoothness_chain()
-            for j, (snap, layer) in enumerate(zip(rec.layers, net.layers)):
+            assert rec.layers == report.layers
+            for row, layer in zip(rec.layers, net.layers):
                 w = layer.weight
-                assert snap.singular_values == singular_values(w).tolist()
-                assert snap.condition_number == condition_number(w)
-                assert snap.stable_rank == LayerSpectrum.of(w).stable_rank
-                if w.shape[0] < w.shape[1]:
-                    assert snap.layer_factor is None
-                else:
-                    # the same expression as koopman_layer_factor, bit for bit
-                    assert snap.layer_factor == koopman_layer_factor(w, s_chain[j])
+                assert row.singular_values == singular_values(w).tolist()
+                assert row.condition_number == condition_number(w)
+                assert row.stable_rank == LayerSpectrum.of(w).stable_rank
+                assert (row.koopman_factor is None) == (w.shape[0] < w.shape[1])
 
     def test_runs_no_svd(self, monkeypatch):
         report = _report(build_network([3, 3, 6], GaussianHead(), seed=5))
@@ -98,24 +93,39 @@ class TestSnapshot:
         monkeypatch.setattr(np.linalg, "svd", fail)
         assert snapshot(report, 2) == expected
 
+    def test_reads_a_report_from_json(self):
+        report = _report(build_network([3, 3, 6], GaussianHead(), seed=5))
+        assert snapshot(BoundReport.from_json(report.to_json()), 2) == snapshot(report, 2)
+
     def test_rank_deficient_layer_marked_none(self):
         net = build_network([3, 3, 6], GaussianHead(), seed=5)
         net.layers[0].weight = np.zeros((3, 3))
         rec = snapshot(_report(net), epoch=1)
-        assert rec.layers[0].layer_factor is None
-        assert math.isnan(rec.layers[0].stable_rank)
+        assert rec.layers[0].koopman_factor is None
+        assert rec.layers[0].stable_rank is None
         assert math.isinf(rec.layers[0].condition_number)
+        assert SpectrumLog([rec]).to_csv().splitlines()[1].split(",")[5:7] == ["nan", "nan"]
+
+    def test_infinite_koopman_factor_overflows(self):
+        report = _report(build_network([3, 3, 6], GaussianHead(), seed=5))
+        report.layers[1].koopman_factor = math.inf
+        with pytest.raises(OverflowError, match="layer 2"):
+            snapshot(report, 1)
+
+
+def _row(singular_values, condition_number, stable_rank, koopman_factor):
+    """A report row with the fields the spectrum log reads."""
+    return LayerRecord(
+        index=1, rows=2, cols=2, singular_values=singular_values,
+        condition_number=condition_number, density_ratio_bound=1.0, det_factor=None,
+        numeric_rank=2, variant_choice="graph", factors={},
+        stable_rank=stable_rank, koopman_factor=koopman_factor,
+    )
 
 
 class TestSpectrumLog:
     def _record(self, epoch):
-        snap = LayerSnapshot(
-            singular_values=[2.0, 1.0],
-            condition_number=2.0,
-            stable_rank=1.25,
-            layer_factor=1.5,
-        )
-        return EpochRecord(epoch=epoch, layers=[snap])
+        return EpochRecord(epoch=epoch, layers=[_row([2.0, 1.0], 2.0, 1.25, 1.5)])
 
     def test_epochs_must_increase(self):
         log = SpectrumLog()
@@ -135,13 +145,7 @@ class TestSpectrumLog:
 
     def test_csv_marks_infinities_and_missing(self):
         log = SpectrumLog()
-        snap = LayerSnapshot(
-            singular_values=[1.0, 0.0],
-            condition_number=float("inf"),
-            stable_rank=1.0,
-            layer_factor=None,
-        )
-        log.append(EpochRecord(epoch=1, layers=[snap]))
+        log.append(EpochRecord(epoch=1, layers=[_row([1.0, 0.0], math.inf, 1.0, None)]))
         row = log.to_csv().splitlines()[1].split(",")
         assert len(row) == 8
         assert row[4] == "inf"

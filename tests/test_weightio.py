@@ -117,9 +117,19 @@ class TestErrors:
              "h_norm"),
             (lambda d: d.update(layers={"layer1": {}}), "layers must be a list"),
             (lambda d: d.update(head=["gaussian"]), "invalid head"),
+            # int() and float() would read these as numbers
+            (lambda d: d["layers"][0].update(rows=4.7), "layer 1: rows and cols"),
+            (lambda d: d["layers"][1].update(cols="4"), "layer 2: rows and cols"),
+            (lambda d: d["layers"][0]["weights"].__setitem__(0, "0.5"), "layer 1: weights"),
+            (lambda d: d["layers"][1]["bias"].__setitem__(0, True), "layer 2: bias"),
+            (lambda d: d["layers"][0].update(s="2.0"), "layer 1: s"),
+            (lambda d: d.update(s_in="1.55"), "s_in"),
+            (lambda d: d["head"]["params"].update(c=True), "head params"),
         ],
         ids=["missing_s_in", "alpha_range", "head_param", "non_numeric_weight",
-             "nan_bias", "negative_head_norm", "layers_not_a_list", "head_not_an_object"],
+             "nan_bias", "negative_head_norm", "layers_not_a_list", "head_not_an_object",
+             "float_rows", "string_cols", "string_weight", "bool_bias", "string_s",
+             "string_s_in", "bool_head_param"],
     )
     def test_malformed_values_raise_weight_file_error(self, net, edit, match):
         doc = network_to_json_dict(net)
