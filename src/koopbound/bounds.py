@@ -44,7 +44,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -523,12 +523,10 @@ class BoundReport:
     combined_per_l: list[tuple[int, float | None]]
     matrix_factor: float  # constants-free spectral product; +inf if a layer is rank deficient
     metadata: dict
-    # per-layer spectra the report was computed from; not serialized
-    spectra: list[LayerSpectrum] = field(default_factory=list, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         """The report as plain JSON values; every +inf float is written "inf"."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["layers"] = [vars(r) for r in self.layers]
         return _map_leaves({"version": 1, **doc}, lambda v: "inf" if v == math.inf else v)
 
@@ -538,7 +536,7 @@ class BoundReport:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BoundReport":
         doc = _map_leaves(doc, lambda v: math.inf if v == "inf" else v)
-        kwargs = {f.name: doc[f.name] for f in fields(cls) if f.compare}
+        kwargs = {f.name: doc[f.name] for f in fields(cls)}
         kwargs["layers"] = [LayerRecord(**r) for r in doc["layers"]]
         kwargs["combined_per_l"] = [tuple(x) for x in doc["combined_per_l"]]
         return cls(**kwargs)
@@ -586,8 +584,8 @@ def full_report(
     """Evaluate every variant and competitor; inapplicable ones become markers.
 
     One SVD per layer: every quantity below is read from the layers'
-    spectra, which the report keeps in `spectra`.  Pass `spectra` from
-    `layer_spectra(net)` to reuse records already built.
+    spectra.  Pass `spectra` from `layer_spectra(net)` to reuse records
+    already built.
     """
     net.validate()
     s_chain = net.smoothness_chain()
@@ -650,5 +648,4 @@ def full_report(
             "smoothness_chain": s_chain,
             "flags": flags,
         },
-        spectra=spectra,
     )

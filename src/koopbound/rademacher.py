@@ -3,26 +3,26 @@
 The estimator replaces the supremum over a weight-constrained function
 class by a maximum over finitely many sampled members, which can only
 shrink the value, so every estimate is a guaranteed lower bound on the
-true complexity.  Dominance of the closed-form upper bounds over these
-estimates is the headline end-to-end check of the whole package.
+true complexity.  Dominance of `bound`'s invertible total for the class
+(`class_upper_bound`) over these estimates is the headline end-to-end check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import GaussianHead, SmoothLeakyRelu
+from . import bounds
+from .network import GaussianHead, Identity, LayerSpec, NetworkSpec, SmoothLeakyRelu
 
 
 class InfeasibleClassError(Exception):
     pass
 
 
-# the activation and head `verify.suite_dominance` computes the closed
-# form's ||K_sigma|| and ||g|| for; the bound does not depend on the biases
+# every member, `class_upper_bound`'s extremal one too, has ACTIVATION
+# between layers (not after the last) and HEAD; no bound reads the biases
 ACTIVATION = SmoothLeakyRelu()
 HEAD = GaussianHead()
 BIAS_RADIUS = 1.0
@@ -32,33 +32,30 @@ BIAS_RADIUS = 1.0
 class FunctionClassSpec:
     """Networks with fixed architecture and spectrally constrained weights.
 
-    constraint "inv": square W with ||W|| <= C and |det W| >= D.
-    constraint "inj": d_out >= d_in with ||W|| <= C and det(W^T W)^(1/2) >= D.
-    Every member has the module's ACTIVATION between layers, its HEAD,
-    and biases uniform in the ball of radius BIAS_RADIUS.
+    constraint "inv", the only one: at least two equal widths d, each
+    layer a d x d W with ||W|| <= C and |det W| >= D.  Every member has
+    the module's ACTIVATION between layers, its HEAD, and biases uniform
+    in the ball of radius BIAS_RADIUS.
     """
 
     widths: tuple[int, ...]
-    constraint: str  # "inv" | "inj"
+    constraint: str  # "inv"
     C: float
     D: float
 
     def __post_init__(self):
-        if self.C <= 0 or self.D <= 0:
-            raise InfeasibleClassError("C and D must be positive")
-        if self.constraint not in ("inv", "inj"):
+        if not (0 < self.C < np.inf and 0 < self.D < np.inf):
+            raise InfeasibleClassError("C and D must be positive and finite")
+        if self.constraint != "inv":
             raise InfeasibleClassError(f"unknown constraint {self.constraint!r}")
-        min_dim = min(self.widths)
-        if self.D > self.C ** min_dim:
-            raise InfeasibleClassError(
-                f"D={self.D} exceeds C^min_dim={self.C ** min_dim}: class is empty"
-            )
-        if self.constraint == "inv" and len(set(self.widths)) != 1:
+        if len(self.widths) < 2 or any(type(w) is not int or w < 1 for w in self.widths):
+            raise InfeasibleClassError(f"widths must be at least two positive ints: {self.widths}")
+        if len(set(self.widths)) != 1:
             raise InfeasibleClassError("inv constraint needs equal widths")
-        if self.constraint == "inj" and any(
-            a > b for a, b in zip(self.widths, self.widths[1:])
-        ):
-            raise InfeasibleClassError("inj constraint needs non-decreasing widths")
+        if self.D > self.C ** self.widths[0]:
+            raise InfeasibleClassError(
+                f"D={self.D} exceeds C^d={self.C ** self.widths[0]}: class is empty"
+            )
 
 
 REJECTION_CAP = 100_000
@@ -188,18 +185,20 @@ def empirical_rademacher_lower(
     return total / draws
 
 
-def class_upper_bound(
-    spec: FunctionClassSpec,
-    n: int,
-    s: float,
-    B: float,
-    g_norm: float,
-    sigma_norm: float,
-) -> float:
-    """Closed-form complexity bound with sup-over-class constants.
-
-    (B ||g|| / sqrt(n)) * prod_layers ||K_sigma|| max{1, C^s} / sqrt(D).
-    """
-    L = len(spec.widths) - 1
-    per_layer = sigma_norm * max(1.0, spec.C ** s) / math.sqrt(spec.D)
-    return B * g_norm / math.sqrt(n) * per_layer ** L
+def class_upper_bound(spec: FunctionClassSpec, n: int) -> float:
+    """`bounds.full_report`'s invertible total, default constants, for the
+    extremal member: every layer diag(C, r, ..., r), r^(d-1) = D/C, so
+    ||W|| = C and |det W| = D maximize max{1, ||W||^s} / |det W|^(1/2).
+    Width 1 raises: no 1 x 1 W has both unless C = D."""
+    d, depth = spec.widths[0], len(spec.widths) - 1
+    if d == 1:
+        raise InfeasibleClassError("width 1 has no member with ||W|| = C and |det W| = D")
+    w = np.diag([spec.C] + [(spec.D / spec.C) ** (1.0 / (d - 1))] * (d - 1))
+    net = NetworkSpec(d, [
+        LayerSpec(w, np.zeros(d), ACTIVATION if j < depth - 1 else Identity())
+        for j in range(depth)
+    ], HEAD)
+    report = bounds.full_report(net, bounds.default_constants(net, n))
+    if "invertible" not in report.totals:
+        raise InfeasibleClassError(f"extremal member: {report.inapplicable['invertible']}")
+    return report.totals["invertible"]

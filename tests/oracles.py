@@ -143,7 +143,7 @@ def sample_networks_lapack(spec, rng, count, cap: int = 100_000):
 
     Same RNG stream as the library (Gaussian batches of max(4 need, 64),
     then a uniform bias per candidate and layer); sigma_1 comes from
-    np.linalg.norm and the volume from det W (square) or det(W^T W)^(1/2).
+    np.linalg.norm and the volume from |det W|.
     """
     params = []
     for cols, rows in zip(spec.widths, spec.widths[1:]):
@@ -156,11 +156,7 @@ def sample_networks_lapack(spec, rng, count, cap: int = 100_000):
             ws = rng.standard_normal((batch, rows, cols))
             sigma1 = np.linalg.norm(ws, ord=2, axis=(1, 2))
             ws *= np.minimum(1.0, spec.C / sigma1)[:, None, None]
-            if rows == cols:
-                vols = np.abs(np.linalg.det(ws))
-            else:
-                vols = np.sqrt(np.abs(np.linalg.det(np.einsum("bij,bik->bjk", ws, ws))))
-            good = ws[vols >= spec.D]
+            good = ws[np.abs(np.linalg.det(ws)) >= spec.D]
             accepted.append(good[:need])
             need -= min(need, good.shape[0])
         g = rng.standard_normal((count, rows))

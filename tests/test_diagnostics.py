@@ -6,7 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from koopbound.bounds import BoundReport, LayerRecord, default_constants, full_report
+from koopbound.bounds import (
+    BoundReport,
+    LayerRecord,
+    default_constants,
+    full_report,
+    layer_spectra,
+)
 from koopbound.diagnostics import (
     DiagnosticsError,
     EpochRecord,
@@ -39,8 +45,7 @@ class TestStableRank:
     def test_reads_layer_spectrum(self):
         # the report row carries the spectrum's value, the Frobenius-norm ratio
         net = build_network([3, 3, 6], GaussianHead(), seed=5)
-        report = _report(net)
-        for row, spec in zip(snapshot(report, 1).layers, report.spectra):
+        for row, spec in zip(snapshot(_report(net), 1).layers, layer_spectra(net)):
             assert row.stable_rank == spec.stable_rank
             assert spec.stable_rank == pytest.approx(spec.fro_norm ** 2 / spec.op_norm ** 2)
 

@@ -1,13 +1,16 @@
-"""scripts/golden_diff.py: the number-by-number comparison of two golden directories."""
+"""scripts/golden_diff.py, the number-by-number comparison of two golden
+directories, and scripts/golden.py, which writes them."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden_diff.py"
-_spec = importlib.util.spec_from_file_location("golden_diff", _SCRIPT)
+_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+_spec = importlib.util.spec_from_file_location("golden_diff", _SCRIPTS / "golden_diff.py")
 golden_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden_diff)
 
@@ -67,3 +70,31 @@ def test_file_in_one_directory_exits_1(dirs, capsys, side):
     (dirs[side] / "run" / "spectrum.csv").write_text("epoch\n1\n")
     assert golden_diff.main(*map(str, dirs)) == 1
     assert capsys.readouterr().out == f"run/spectrum.csv: only in {dirs[side]}\n"
+
+
+TRAIN_RUNS = ("synthetic", "synthetic_perlayer", "digits_reg", "digits_unreg")
+GOLDEN_FILES = {
+    *(f"{run}/{name}" for run in TRAIN_RUNS for name in (
+        "bound_vs_generror.svg", "metrics.csv", "spectrum.csv", "weights.json")),
+    *(f"{run}.train.txt" for run in TRAIN_RUNS),
+    "rank1/weights.json", "zero2/weights.json",
+    *(f"{net}.{kind}" for net in (*TRAIN_RUNS, "rank1", "zero2") for kind in (
+        "bound.json", "bound.csv", "inspect.csv", "inspect.txt")),
+    "verify.lemma1.json", "verify.dominance.json",
+}
+
+
+def test_golden_twice_is_byte_identical(tmp_path, capsys):
+    roots = tmp_path / "a", tmp_path / "b"
+    for root in roots:
+        done = subprocess.run(
+            [sys.executable, str(_SCRIPTS / "golden.py"), str(root)],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        written = {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+        assert written == GOLDEN_FILES
+    assert golden_diff.main(*map(str, roots)) == 0
+    assert capsys.readouterr().out == ""
+    for name in GOLDEN_FILES:
+        assert (roots[0] / name).read_bytes() == (roots[1] / name).read_bytes(), name

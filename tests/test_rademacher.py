@@ -8,7 +8,9 @@ import pytest
 from oracles import rademacher_exact, rademacher_lower_fixed, rkhs_ball_rademacher
 
 from koopbound import rademacher
-from koopbound.kernels import kernel_trace_bound, sobolev_kernel
+from koopbound.bounds import activation_opnorm_bound, default_constants, full_report
+from koopbound.kernels import gaussian_head_norm, kernel_trace_bound, sobolev_kernel
+from koopbound.network import Identity, LayerSpec, NetworkSpec, default_smoothness
 from koopbound.rademacher import (
     FunctionClassSpec,
     InfeasibleClassError,
@@ -29,18 +31,24 @@ class TestClassSpec:
             FunctionClassSpec(widths=(2, 2), constraint="inv", C=0.0, D=0.5)
         with pytest.raises(InfeasibleClassError):
             FunctionClassSpec(widths=(2, 2), constraint="inv", C=1.0, D=-1.0)
+        for C, D in ((math.inf, 0.5), (math.nan, 0.5), (1.5, math.nan)):
+            with pytest.raises(InfeasibleClassError, match="positive and finite"):
+                FunctionClassSpec(widths=(2, 2), constraint="inv", C=C, D=D)
 
     def test_unknown_constraint(self):
         with pytest.raises(InfeasibleClassError, match="unknown constraint"):
             FunctionClassSpec(widths=(2, 2), constraint="spectral", C=1.0, D=0.5)
+        with pytest.raises(InfeasibleClassError, match="unknown constraint"):
+            FunctionClassSpec(widths=(2, 3), constraint="inj", C=1.5, D=0.5)
 
     def test_inv_needs_square_chain(self):
         with pytest.raises(InfeasibleClassError, match="equal widths"):
             FunctionClassSpec(widths=(2, 3), constraint="inv", C=1.5, D=0.5)
 
-    def test_inj_needs_non_decreasing(self):
-        with pytest.raises(InfeasibleClassError, match="non-decreasing"):
-            FunctionClassSpec(widths=(3, 2), constraint="inj", C=1.5, D=0.5)
+    @pytest.mark.parametrize("widths", [(), (2,), (0, 0), (2.5, 2.5), (True, True)])
+    def test_malformed_widths_rejected(self, widths):
+        with pytest.raises(InfeasibleClassError, match="at least two positive ints"):
+            FunctionClassSpec(widths=widths, constraint="inv", C=1.5, D=0.5)
 
 
 class TestSampling:
@@ -54,13 +62,6 @@ class TestSampling:
         assert np.all(sigma1 <= 1.5 + 1e-12)
         assert np.all(np.abs(np.linalg.det(ws)) >= 0.5 - 1e-12)
         assert np.all(np.linalg.norm(bs, axis=1) <= rademacher.BIAS_RADIUS + 1e-12)
-
-    def test_injective_constraint_rectangular(self):
-        spec = FunctionClassSpec(widths=(2, 3), constraint="inj", C=1.5, D=0.5)
-        ws, _ = sample_networks(spec, np.random.default_rng(1), 30)[0]
-        assert ws.shape == (30, 3, 2)
-        grams = np.einsum("bij,bik->bjk", ws, ws)
-        assert np.all(np.sqrt(np.linalg.det(grams)) >= 0.5 - 1e-9)
 
     def test_too_tight_constraint_raises(self):
         # feasible region exists (D < C^d) but rejection never lands in it
@@ -111,12 +112,12 @@ class TestSigma1AndVolume:
 class TestSameStream:
     """The sampler keeps the RNG stream and the class of the LAPACK filter."""
 
-    @pytest.mark.parametrize("widths,constraint", [
-        ((2, 2, 2), "inv"), ((2, 3), "inj"), ((3, 3), "inv"), ((2, 9), "inj"),
+    @pytest.mark.parametrize("widths", [
+        pytest.param((2, 2, 2), id="widths0-inv"), pytest.param((3, 3), id="widths2-inv"),
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_draws_as_lapack_filter(self, widths, constraint, seed):
-        spec = FunctionClassSpec(widths=widths, constraint=constraint, C=1.5, D=0.5)
+    def test_same_draws_as_lapack_filter(self, widths, seed):
+        spec = FunctionClassSpec(widths=widths, constraint="inv", C=1.5, D=0.5)
         got = sample_networks(spec, np.random.default_rng(seed), 200)
         want = oracles.sample_networks_lapack(spec, np.random.default_rng(seed), 200)
         assert len(got) == len(want)
@@ -125,16 +126,16 @@ class TestSameStream:
             np.testing.assert_allclose(ws, ws_ref, rtol=1e-12, atol=0)
             np.testing.assert_allclose(bs, bs_ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("widths,constraint,count,n", [
-        pytest.param((2, 2), "inv", 25, 7, id="widths0-inv"),
-        pytest.param((2, 2, 2), "inv", 25, 7, id="widths1-inv"),
-        pytest.param((2, 3, 4), "inj", 25, 7, id="widths2-inj"),
-        pytest.param((3, 3, 3), "inv", 25, 7, id="widths3-inv"),
-        pytest.param((2, 2, 2), "inv", 1, 7, id="one-candidate"),
-        pytest.param((2, 3, 4), "inj", 25, 1, id="one-point"),
+    @pytest.mark.parametrize("widths,count,n", [
+        pytest.param((2, 2), 25, 7, id="widths0-inv"),
+        pytest.param((2, 2, 2), 25, 7, id="widths1-inv"),
+        pytest.param((4, 4, 4), 25, 7, id="widths2-inv"),
+        pytest.param((3, 3, 3), 25, 7, id="widths3-inv"),
+        pytest.param((2, 2, 2), 1, 7, id="one-candidate"),
+        pytest.param((4, 4, 4), 25, 1, id="one-point"),
     ])
-    def test_evaluate_matches_per_candidate_loop(self, widths, constraint, count, n):
-        spec = FunctionClassSpec(widths=widths, constraint=constraint, C=1.5, D=0.5)
+    def test_evaluate_matches_per_candidate_loop(self, widths, count, n):
+        spec = FunctionClassSpec(widths=widths, constraint="inv", C=1.5, D=0.5)
         rng = np.random.default_rng(11)
         params = sample_networks(spec, rng, count)
         pts = rng.standard_normal((n, widths[0]))
@@ -229,18 +230,59 @@ class TestRkhsBall:
             rkhs_ball_rademacher(np.ones((3, 1)), radius=0.0, d=1, s=1.0)
 
 
+def _member_total(weights, n: int) -> float:
+    """`full_report`'s invertible total for one class member, built as the
+    sampled members run: ACTIVATION between layers, none after the last."""
+    depth = len(weights)
+    net = NetworkSpec(weights[0].shape[1], [
+        LayerSpec(w, np.zeros(w.shape[0]),
+                  rademacher.ACTIVATION if j < depth - 1 else Identity())
+        for j, w in enumerate(weights)
+    ], rademacher.HEAD)
+    return full_report(net, default_constants(net, n)).totals["invertible"]
+
+
 class TestClassUpperBound:
     def test_formula(self):
-        spec = FunctionClassSpec(widths=(2, 2, 2), constraint="inv", C=1.5, D=0.5)
-        val = class_upper_bound(spec, n=20, s=1.05, B=2.0, g_norm=3.0, sigma_norm=1.1)
-        per = 1.1 * 1.5 ** 1.05 / math.sqrt(0.5)
-        assert val == pytest.approx(2.0 * 3.0 / math.sqrt(20) * per ** 2)
+        # L = 1 has no activation, so no ||K_sigma||; L = 2 has exactly one
+        C, D, n, d = 1.5, 0.5, 20, 2
+        s = default_smoothness(d)
+        prefactor = (
+            kernel_trace_bound(d, s)
+            * gaussian_head_norm(d, s, rademacher.HEAD.c) / math.sqrt(n)
+        )
+        per = C ** s / math.sqrt(D)
+        sigma_norm = activation_opnorm_bound(rademacher.ACTIVATION, d)
+        for depth, want in ((1, prefactor * per), (2, prefactor * sigma_norm * per ** 2)):
+            spec = FunctionClassSpec(widths=(d,) * (depth + 1), constraint="inv", C=C, D=D)
+            assert class_upper_bound(spec, n) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("widths,D,match", [
+        ((1, 1), 0.5, "width 1"),
+        # r = D/C is below the rank tolerance, so the member is singular
+        ((2, 2), 1e-300, "numerically singular"),
+    ])
+    def test_no_extremal_member_raises(self, widths, D, match):
+        spec = FunctionClassSpec(widths=widths, constraint="inv", C=1.5, D=D)
+        with pytest.raises(InfeasibleClassError, match=match):
+            class_upper_bound(spec, 20)
+
+    @pytest.mark.parametrize("widths", [(2, 2), (2, 2, 2), (3, 3), (3, 3, 3)])
+    def test_dominates_every_sampled_member(self, widths):
+        # each member's own invertible total is at most the class bound
+        spec = FunctionClassSpec(widths=widths, constraint="inv", C=1.5, D=0.5)
+        upper = class_upper_bound(spec, 20)
+        params = sample_networks(spec, np.random.default_rng(0), 300)
+        worst = max(
+            _member_total([ws[k] for ws, _ in params], 20) for k in range(300)
+        )
+        assert worst <= upper
 
     def test_monotone_in_constraint_constants(self):
         # looser classes (larger C, smaller D) can only have larger bounds
         def bound(C, D):
             spec = FunctionClassSpec(widths=(2, 2), constraint="inv", C=C, D=D)
-            return class_upper_bound(spec, n=20, s=1.05, B=2.0, g_norm=3.0, sigma_norm=1.1)
+            return class_upper_bound(spec, n=20)
 
         assert bound(2.0, 0.5) > bound(1.5, 0.5)
         assert bound(1.5, 0.25) > bound(1.5, 0.5)
