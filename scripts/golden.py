@@ -15,6 +15,9 @@ Runs, in process and from the checkout's own `src`:
 - the same seed-0 net with layer 2 all zeros, saved as zero2/weights.json;
 - for each weights.json so written: the `bound` report as JSON and as
   CSV (n = 1000), and the `inspect` table (stdout) and its CSV;
+- the `bound` report of rank1/weights.json, JSON and CSV, with every
+  constant and the variant list given on the command line
+  (`BOUND_OVERRIDES`), as rank1.bound_overrides.{json,csv};
 - the `verify.suite_lemma1()` and
   `verify.suite_dominance(draws=20, candidates=500, seeds=(0,))`
   verdicts as JSON (verify.lemma1.json, verify.dominance.json); the
@@ -51,6 +54,11 @@ TRAIN_RUNS = {
 }
 # the --config a train run reads, by run name
 TRAIN_CONFIGS = {"synthetic_perlayer": {"regularizer": "perlayer", "batch_size": None}}
+# every constant the bound command accepts, set by hand
+BOUND_OVERRIDES = [
+    "--B", "1.5", "--g-norm", "0.75", "--sigma-norms", "1.25,2.5", "--g-factors", "0.5,0.8",
+    "--variants", "invertible,weighted,graph,combined,neyshabur15",
+]
 
 
 def _cli(argv: list[str], stdout_path: Path) -> int:
@@ -94,6 +102,11 @@ def run(outdir: str) -> int:
             ]))
         argv = ["inspect", weights, "--csv", str(out / f"{name}.inspect.csv")]
         worst = max(worst, _cli(argv, out / f"{name}.inspect.txt"))
+    for fmt in ("json", "csv"):
+        worst = max(worst, cli_main([
+            "bound", str(out / "rank1" / "weights.json"), "--n", "1000", *BOUND_OVERRIDES,
+            "--out", fmt, "--output", str(out / f"rank1.bound_overrides.{fmt}"),
+        ]))
     # the grid oracle and the MC function class
     verdicts = {
         "lemma1": verify.suite_lemma1(),

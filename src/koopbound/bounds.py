@@ -15,13 +15,15 @@ Koopman prefix of length l with a Frobenius-product peeling tail
 2^(L-l) * prod ||W_j||_F.  The norm-based competitor bounds are
 implemented verbatim for comparison, bartlett17 with zero references.
 
-`full_report(net, c)` is the one way to ask for every total; only
-`bound_injective`, `bound_combined` and `bound_combined_best` also give
-single totals, from the same factor table.
+`full_report(net, c)` is the one way to ask for every total;
+`bound_injective`, `bound_combined` and `bound_combined_best` read their
+single totals from it.  The constants B, ||g|| and ||K_sigma|| depend on
+the architecture only (`default_constants`, no SVD); G depends on the
+weights, so the report takes each layer's default G from its spectrum.
 
 Each of these factors depends on W only through its singular values, so
 a layer's spectrum is computed once (`matcore.LayerSpectrum`) and every
-factor, and every competitor but bartlett17's (2,1)-norm, reads it.
+factor, G, and every competitor but bartlett17's (2,1)-norm, reads it.
 `_factor_table` is the one definition of the four per-layer factors and
 of the constants-free spectral product (`matrix_factor`), and it holds
 their natural logs, read from the spectrum's log-determinants:
@@ -93,17 +95,19 @@ class BoundConstants:
     B: float
     g_norm: float
     sigma_norms: tuple[float, ...]
-    g_factors: tuple[float, ...]
+    g_factors: tuple[float, ...] | None  # None: full_report takes each layer's default G
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameterError(f"sample count n must be >= 1, got {self.n}")
-        vals = [self.B, self.g_norm, *self.sigma_norms, *self.g_factors]
+        vals = [self.B, self.g_norm, *self.sigma_norms, *(self.g_factors or ())]
         if any(not (0 < v < math.inf) for v in vals):
             raise InvalidParameterError(
                 "all bound constants must be positive and finite"
             )
+        if self.prefactor == 0.0:  # its log enters every total
+            raise InvalidParameterError(f"B * g_norm / sqrt(n) = {self.prefactor!r} underflows")
 
     @property
     def prefactor(self) -> float:
@@ -119,12 +123,6 @@ def _spectrum(layer) -> LayerSpectrum:
     if isinstance(layer, LayerSpectrum):
         return layer
     return LayerSpectrum.of(layer)
-
-
-def layer_spectra(net: NetworkSpec) -> list[LayerSpectrum]:
-    """One LayerSpectrum per layer: the SVDs a report needs, for callers
-    that pass them to both `default_constants` and `full_report`."""
-    return [LayerSpectrum.of(layer.weight) for layer in net.layers]
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +255,14 @@ def _why_inapplicable(spec: LayerSpectrum, variant: str) -> str | None:
 # whole-network bound variants
 
 
-def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants):
+def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants, g_factors):
     """Per layer, the natural log of each per-layer Koopman variant's factor,
     and the natural log of the constants-free spectral product.
 
     s_chain is the smoothness chain: s_chain[j] is the smoothness of layer
     j's input space, s_chain[j + 1] of its output.  The factors include the
-    layer's isotropy factor G and activation norm ||K_sigma|| from `c`.
+    layer's isotropy factor G (`g_factors`) and activation norm ||K_sigma||
+    from `c`.
     None marks a variant whose precondition the layer fails
     (`_why_inapplicable`).  The spectral product is
     prod_j ||W_j||^s_(j+1) / (prod of W_j's singular values)^(1/2), with
@@ -273,7 +272,7 @@ def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants):
     table = []
     log_matrix = 0.0
     for spec, s, s_out, g, sig in zip(
-        spectra, s_chain, s_chain[1:], c.g_factors, c.sigma_norms
+        spectra, s_chain, s_chain[1:], g_factors, c.sigma_norms
     ):
         log_g, log_sig = math.log(g), math.log(sig)
         log_lift = _log_norm_power(spec, s)  # log max{1, ||W||^s}
@@ -312,22 +311,12 @@ def _variant_total(variant: str, spectra, table, c: BoundConstants) -> float:
     return _total(c, [row[variant] for row in table])
 
 
-def _spectra_and_table(net: NetworkSpec, c: BoundConstants, spectra=None):
-    """The layers' spectra (built unless given) and their `_factor_table`:
-    (spectra, table, log of the spectral product)."""
-    if len(c.sigma_norms) != net.depth or len(c.g_factors) != net.depth:
-        raise InvalidParameterError(
-            "sigma_norms and g_factors must have one entry per layer"
-        )
-    if spectra is None:
-        spectra = layer_spectra(net)
-    return (spectra, *_factor_table(spectra, net.smoothness_chain(), c))
-
-
 def bound_injective(net: NetworkSpec, c: BoundConstants) -> float:
     """Bound for tall full-column-rank layers, with isotropy factors G_j."""
-    spectra, table, _ = _spectra_and_table(net, c)
-    return _variant_total("injective", spectra, table, c)
+    report = full_report(net, c)
+    if "injective" in report.inapplicable:
+        raise VariantInapplicable(report.inapplicable["injective"])
+    return report.totals["injective"]
 
 
 def _feasible_prefix_length(spectra: list[LayerSpectrum]) -> int:
@@ -339,13 +328,7 @@ def _feasible_prefix_length(spectra: list[LayerSpectrum]) -> int:
 
 
 def _combined(spectra, table, c: BoundConstants, l: int) -> float:
-    feasible = _feasible_prefix_length(spectra)
-    if l > feasible:
-        raise VariantInapplicable(
-            f"Koopman prefix of length {l} infeasible; "
-            f"largest feasible prefix is {feasible}",
-            largest_feasible_l=feasible,
-        )
+    """The combined total at a split l that `_combined_best` found feasible."""
     tail = [spec.fro_norm for spec in spectra[l:]]
     if 0.0 in tail:
         return 0.0  # a zero layer collapses the Frobenius tail
@@ -365,8 +348,15 @@ def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
     """
     if not (0 <= l <= net.depth):
         raise InvalidParameterError(f"l must be in [0, {net.depth}], got {l}")
-    spectra, table, _ = _spectra_and_table(net, c)
-    return _combined(spectra, table, c, l)
+    per_l = full_report(net, c).combined_per_l
+    if per_l[l][1] is None:
+        feasible = max(k for k, value in per_l if value is not None)
+        raise VariantInapplicable(
+            f"Koopman prefix of length {l} infeasible; "
+            f"largest feasible prefix is {feasible}",
+            largest_feasible_l=feasible,
+        )
+    return per_l[l][1]
 
 
 def _combined_best(spectra, table, c: BoundConstants):
@@ -383,8 +373,8 @@ def bound_combined_best(
     net: NetworkSpec, c: BoundConstants
 ) -> tuple[int, float, list[tuple[int, float | None]]]:
     """Minimize the combined bound over the split point l; ties go to smaller l."""
-    spectra, table, _ = _spectra_and_table(net, c)
-    return _combined_best(spectra, table, c)
+    report = full_report(net, c)
+    return report.combined_l_star, report.totals["combined"], report.combined_per_l
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +427,15 @@ def default_constants(
     g_norm: float | None = None,
     sigma_norms: list[float] | None = None,
     g_factors: list[float] | None = None,
-    spectra: list[LayerSpectrum] | None = None,
 ) -> BoundConstants:
-    """Fill unspecified constants from the network description.
+    """Fill unspecified constants from the architecture; runs no SVD.
 
     B comes from the kernel diagonal of the input space; g_norm from the
     Gaussian-head quadrature when the head is Gaussian (otherwise the
     head's user-supplied norm); activation norms from the elementwise
-    s=1 formula.  G_j defaults to 1 for full-rank square layers and to
-    the Gaussian-head value for the last layer of a Gaussian-head net;
-    other layers get 1 with a "G unnormalized" note.  The ranks come
-    from `spectra` (see `layer_spectra`), built here when not given.
+    s=1 formula.  The G_j depend on the weights: unless given, they stay
+    None and `full_report` takes each layer's default from its spectrum
+    (`_g_factors`).
     """
     notes: list[str] = []
     if B is None:
@@ -465,26 +453,35 @@ def default_constants(
             activation_opnorm_bound(layer.activation, layer.out_dim)
             for layer in net.layers
         ]
-    if g_factors is None:
-        if spectra is None:
-            spectra = layer_spectra(net)
-        g_factors = []
-        for j, spec in enumerate(spectra):
-            if not _why_inapplicable(spec, "invertible"):
-                g_factors.append(1.0)
-            elif j == net.depth - 1 and isinstance(net.head, GaussianHead):
-                g_factors.append(g_factor_gaussian(spec, net.head.c))
-            else:
-                g_factors.append(1.0)
-                notes.append(f"layer {j + 1}: G unnormalized")
     return BoundConstants(
         n=n,
         B=float(B),
         g_norm=float(g_norm),
         sigma_norms=tuple(float(v) for v in sigma_norms),
-        g_factors=tuple(float(v) for v in g_factors),
+        g_factors=None if g_factors is None else tuple(float(v) for v in g_factors),
         notes=tuple(notes),
     )
+
+
+def _g_factors(net: NetworkSpec, spectra, c: BoundConstants):
+    """The G_j of `c`, else each layer's default, and the notes it adds.
+
+    G_j defaults to 1 for full-rank square layers and to the Gaussian-head
+    value for the last layer of a Gaussian-head net; other layers get 1
+    with a "G unnormalized" note.
+    """
+    if c.g_factors is not None:
+        return c.g_factors, []
+    g_factors, notes = [], []
+    for j, spec in enumerate(spectra):
+        if not _why_inapplicable(spec, "invertible"):
+            g_factors.append(1.0)
+        elif j == net.depth - 1 and isinstance(net.head, GaussianHead):
+            g_factors.append(g_factor_gaussian(spec, net.head.c))
+        else:
+            g_factors.append(1.0)
+            notes.append(f"layer {j + 1}: G unnormalized")
+    return g_factors, notes
 
 
 @dataclass
@@ -576,20 +573,21 @@ class BoundReport:
         return buf.getvalue()
 
 
-def full_report(
-    net: NetworkSpec,
-    c: BoundConstants,
-    spectra: list[LayerSpectrum] | None = None,
-) -> BoundReport:
+def full_report(net: NetworkSpec, c: BoundConstants) -> BoundReport:
     """Evaluate every variant and competitor; inapplicable ones become markers.
 
-    One SVD per layer: every quantity below is read from the layers'
-    spectra.  Pass `spectra` from `layer_spectra(net)` to reuse records
-    already built.
+    One SVD per layer: every quantity below, the default G_j among them,
+    is read from the layers' spectra.
     """
     net.validate()
     s_chain = net.smoothness_chain()
-    spectra, table, log_matrix = _spectra_and_table(net, c, spectra)
+    spectra = [LayerSpectrum.of(layer.weight) for layer in net.layers]
+    g_factors, g_notes = _g_factors(net, spectra, c)
+    if len(c.sigma_norms) != net.depth or len(g_factors) != net.depth:
+        raise InvalidParameterError(
+            "sigma_norms and g_factors must have one entry per layer"
+        )
+    table, log_matrix = _factor_table(spectra, s_chain, c, g_factors)
     totals: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
 
@@ -630,8 +628,7 @@ def full_report(
         )
         for j, (spec, row) in enumerate(zip(spectra, table))
     ]
-    flags = list(c.notes)
-    flags.append("graph total is modulo the lifted-head psi-norm")
+    flags = [*c.notes, *g_notes, "graph total is modulo the lifted-head psi-norm"]
     return BoundReport(
         layers=layers,
         totals=totals,
@@ -644,7 +641,7 @@ def full_report(
             "B": c.B,
             "g_norm": c.g_norm,
             "sigma_norms": list(c.sigma_norms),
-            "g_factors": list(c.g_factors),
+            "g_factors": list(g_factors),
             "smoothness_chain": s_chain,
             "flags": flags,
         },

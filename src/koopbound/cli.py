@@ -65,9 +65,12 @@ def _load_network(path: str):
         raise CliError(str(exc)) from exc
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_floats(text: str | None, flag: str) -> list[float] | None:
+    """None for an absent flag; an empty or malformed value is a usage error."""
+    if text is None:
+        return None
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
 
@@ -97,17 +100,11 @@ def _report_errors():
         raise CliError(f"the bound report overflows float64 ({exc})") from exc
 
 
-def _full_report(net, n: int, **constants) -> bounds_mod.BoundReport:
-    """Report with default constants, one SVD per layer; call it within `_report_errors`."""
-    spectra = bounds_mod.layer_spectra(net)
-    c = bounds_mod.default_constants(net, n, spectra=spectra, **constants)
-    return bounds_mod.full_report(net, c, spectra=spectra)
-
-
 def cmd_inspect(args) -> int:
     net = _load_network(args.weightfile)
     with _report_errors():  # snapshot raises OverflowError for a Koopman factor of +inf
-        rows = diagnostics.snapshot(_full_report(net, n=1), 0).layers
+        report = bounds_mod.full_report(net, bounds_mod.default_constants(net, 1))
+        rows = diagnostics.snapshot(report, 0).layers
     print(f"{'layer':>5} {'sigma_max':>12} {'sigma_min':>12} {'cond':>12} {'stable_rank':>12} {'koopman':>12}")
     lines = ["layer,sigma_max,sigma_min,cond,stable_rank,koopman_factor"]
     for row in rows:
@@ -132,23 +129,21 @@ def cmd_inspect(args) -> int:
 
 def cmd_bound(args) -> int:
     net = _load_network(args.weightfile)
-    sigma_norms = (
-        _parse_floats(args.sigma_norms, "--sigma-norms") if args.sigma_norms else None
-    )
-    g_factors = (
-        _parse_floats(args.g_factors, "--g-factors") if args.g_factors else None
-    )
+    sigma_norms = _parse_floats(args.sigma_norms, "--sigma-norms")
+    g_factors = _parse_floats(args.g_factors, "--g-factors")
     with _report_errors():
-        report = _full_report(
+        c = bounds_mod.default_constants(
             net, args.n, B=args.B, g_norm=args.g_norm,
             sigma_norms=sigma_norms, g_factors=g_factors,
         )
-    if args.variants:
+        report = bounds_mod.full_report(net, c)
+    if args.variants is not None:
         wanted = [v.strip() for v in args.variants.split(",")]
         for v in wanted:
             if v not in bounds_mod.ALL_VARIANTS:
                 raise CliError(
-                    f"unknown variant {v!r}; known: {', '.join(bounds_mod.ALL_VARIANTS)}"
+                    f"--variants: unknown variant {v!r}; "
+                    f"known: {', '.join(bounds_mod.ALL_VARIANTS)}"
                 )
         report.totals = {k: v for k, v in report.totals.items() if k in wanted}
         report.inapplicable = {
@@ -219,7 +214,7 @@ def _run_one(task: str, config: trainer.TrainConfig, outdir: Path) -> trainer.Tr
 
 
 def _apply_overrides(config: trainer.TrainConfig, args) -> trainer.TrainConfig:
-    if args.config:
+    if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -244,7 +239,7 @@ def _apply_overrides(config: trainer.TrainConfig, args) -> trainer.TrainConfig:
 
 def cmd_train(args) -> int:
     outdir = Path(args.outdir)
-    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+    seeds = [args.seed] if args.seeds is None else _parse_seeds(args.seeds)
     diverged = False
     runs = []
     for seed in seeds:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopbound import bounds as bm
-from koopbound import cli, diagnostics, matcore, trainer, weightio
+from koopbound import cli, diagnostics, matcore, rademacher, trainer, weightio
 from koopbound.bounds import (
     BoundConstants,
     BoundReport,
@@ -324,15 +325,48 @@ class TestSvdCount:
         capsys.readouterr()
         assert svd_calls == [(128, 64), (128, 128), (10, 128)]
 
-    @pytest.mark.parametrize("head", ["softmax", "gaussian_rank2"])
-    def test_default_constants_reads_given_spectra(self, head):
-        if head == "softmax":
-            net = _digits_shape_net()
-        else:
-            net = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)
-            net.layers[1].weight[:, 2] = net.layers[1].weight[:, 1]
-        spectra = bm.layer_spectra(net)
-        assert default_constants(net, 100, spectra=spectra) == default_constants(net, 100)
+    def test_default_constants_runs_no_svd(self, svd_calls):
+        default_constants(_digits_shape_net(), 1500)
+        assert svd_calls == []
+
+    def test_one_digits_epoch_three_svds(self, svd_calls):
+        # the epoch's report; the snapshot reads it, and the constants need none
+        config = dataclasses.replace(
+            cli.default_train_config("digits", 0), epochs=1, regularizer="none"
+        )
+        data, net = trainer.load_digits(), _digits_shape_net()
+        svd_calls.clear()
+        assert not trainer.train(config, data, net, classification=True).diverged
+        assert svd_calls == [(128, 64), (128, 128), (10, 128)]
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_class_upper_bound_one_svd_per_layer(self, svd_calls, depth):
+        spec = rademacher.FunctionClassSpec(
+            widths=(2,) * (depth + 1), constraint="inv", C=1.5, D=0.5
+        )
+        rademacher.class_upper_bound(spec, 20)
+        assert svd_calls == [(2, 2)] * depth
+
+
+class TestDefaultG:
+    def _nets(self):
+        full = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)
+        rank2 = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)
+        rank2.layers[1].weight[:, 2] = rank2.layers[1].weight[:, 1]
+        return full, rank2
+
+    def test_constants_depend_on_the_architecture_only(self):
+        full, rank2 = self._nets()
+        assert default_constants(full, 100) == default_constants(rank2, 100)
+
+    def test_report_reads_g_from_each_net_spectrum(self):
+        gs = []
+        for net in self._nets():
+            report = full_report(net, default_constants(net, 100))
+            want = g_factor_gaussian(net.layers[1].weight, net.head.c)
+            assert report.metadata["g_factors"][-1] == want
+            gs.append(want)
+        assert gs[0] > gs[1]  # codimension 3 against 4, and 2c/pi < 1
 
 
 def _variant_choice(layer: LayerSpec) -> str:
@@ -546,12 +580,13 @@ class TestFullReport:
         )
         c = default_constants(net, 64)
         report = full_report(net, c)
+        g_factors = report.metadata["g_factors"]
         injective = graph = c.prefactor
         frob = 1.0
         for j, layer in enumerate(net.layers):
             w, s = layer.weight, net.smoothness_chain()[j]
             sigma_1 = oracles.singular_values_via_charpoly(w)[0]
-            per_layer = c.g_factors[j] * c.sigma_norms[j]
+            per_layer = g_factors[j] * c.sigma_norms[j]
             gram = w.T @ w
             injective *= per_layer * max(1.0, sigma_1 ** s) / oracles.cofactor_det(gram) ** 0.25
             graph *= (

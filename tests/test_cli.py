@@ -106,11 +106,28 @@ class TestUsageErrors:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "flags", [("--n", "0"), ("--n", "5", "--g-norm", "-1"), ("--n", "5", "--sigma-norms", "1")]
+        "flags", [("--n", "0"), ("--n", "5", "--g-norm", "-1"), ("--n", "5", "--sigma-norms", "1"),
+                  ("--n", "100", "--B", "1e-200", "--g-norm", "1e-200")]
     )
     def test_invalid_constants(self, weightfile, capsys, flags):
         assert run_cli("bound", weightfile, *flags) == cli.EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if "--B" in flags:  # the prefactor underflows to 0.0, whose log has no value
+            assert "B * g_norm / sqrt(n)" in err
+
+    @pytest.mark.parametrize("flag", ["--sigma-norms", "--g-factors", "--variants"])
+    def test_empty_flag_value_is_usage_error(self, weightfile, capsys, flag):
+        assert run_cli("bound", weightfile, "--n", "100", flag, "") == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+    def test_empty_config_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "train", "--task", "synthetic", "--config", "", "--outdir", str(tmp_path / "run")
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --config: ")
+        assert not (tmp_path / "run").exists()
 
     def test_activation_not_bi_lipschitz(self, tmp_path, capsys):
         act = SmoothLeakyRelu(alpha=0.1, mu=0.001)
@@ -681,7 +698,7 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("seeds", ["a,b", "1,,2", "1.5", "3,3"])
+    @pytest.mark.parametrize("seeds", ["a,b", "1,,2", "1.5", "3,3", ""])
     def test_malformed_seeds_is_usage_error(self, tmp_path, capsys, seeds):
         code = run_cli(
             "train", "--task", "synthetic", "--seeds", seeds,

@@ -11,7 +11,6 @@ from koopbound.bounds import (
     LayerRecord,
     default_constants,
     full_report,
-    layer_spectra,
 )
 from koopbound.diagnostics import (
     DiagnosticsError,
@@ -45,7 +44,8 @@ class TestStableRank:
     def test_reads_layer_spectrum(self):
         # the report row carries the spectrum's value, the Frobenius-norm ratio
         net = build_network([3, 3, 6], GaussianHead(), seed=5)
-        for row, spec in zip(snapshot(_report(net), 1).layers, layer_spectra(net)):
+        spectra = [LayerSpectrum.of(layer.weight) for layer in net.layers]
+        for row, spec in zip(snapshot(_report(net), 1).layers, spectra):
             assert row.stable_rank == spec.stable_rank
             assert spec.stable_rank == pytest.approx(spec.fro_norm ** 2 / spec.op_norm ** 2)
 

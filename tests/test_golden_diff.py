@@ -80,6 +80,7 @@ GOLDEN_FILES = {
     "rank1/weights.json", "zero2/weights.json",
     *(f"{net}.{kind}" for net in (*TRAIN_RUNS, "rank1", "zero2") for kind in (
         "bound.json", "bound.csv", "inspect.csv", "inspect.txt")),
+    "rank1.bound_overrides.json", "rank1.bound_overrides.csv",
     "verify.lemma1.json", "verify.dominance.json",
 }
 
