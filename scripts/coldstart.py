@@ -3,15 +3,17 @@
 
     python scripts/coldstart.py [--runs N]
 
-Writes a digits-shape weight file (64-128-128-10, softmax head) to a
-temporary directory, then times N fresh processes of each of
+Writes a digits-shape weight file (64-128-128-10, softmax head) and a
+synthetic-task one (3-3-6, Gaussian head) to a temporary directory, then
+times N fresh processes of each of
 
     python -c "import koopbound.cli"
     koopbound bound FILE --n 1500
     koopbound inspect FILE
+    koopbound bound GAUSSIAN_FILE --n 1500      (bound_gaussian)
 
 run from this checkout's `src` (as `python -m koopbound.cli`), taking
-the three commands in turn so that host noise spreads over all of them.
+the four commands in turn so that host noise spreads over all of them.
 Prints the median and quartiles of each command's wall time in ms as
 JSON, with the CPU count, the Python, numpy and scipy versions, the BLAS
 build and the thread variables.  One more, untimed, run of each command
@@ -37,15 +39,16 @@ sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 from child import environment  # noqa: E402  (the benchmark's environment record)
 
 
-def _write_weights(path: Path) -> None:
+def _write_weights(path: Path, gaussian_path: Path) -> None:
     from koopbound import trainer, weightio
-    from koopbound.network import SoftmaxHead
+    from koopbound.network import GaussianHead, SoftmaxHead
 
     net = trainer.build_network(
         [64, 128, 128, 10], SoftmaxHead(), seed=0,
         init=["orthogonal", "orthogonal", "truncated_normal"],
     )
     weightio.save_weights(net, path)
+    weightio.save_weights(trainer.build_network([3, 3, 6], GaussianHead(), seed=0), gaussian_path)
 
 
 def _time_ms(argv: list[str], env: dict) -> float:
@@ -73,13 +76,14 @@ def run(runs: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
-        weights = Path(tmp) / "weights.json"
-        _write_weights(weights)
+        weights, gaussian = Path(tmp) / "weights.json", Path(tmp) / "gaussian.json"
+        _write_weights(weights, gaussian)
         cli = [sys.executable, "-m", "koopbound.cli"]
         commands = {
             "import": [sys.executable, "-c", "import koopbound.cli"],
             "bound": cli + ["bound", str(weights), "--n", "1500"],
             "inspect": cli + ["inspect", str(weights)],
+            "bound_gaussian": cli + ["bound", str(gaussian), "--n", "1500"],
         }
         samples = {name: [] for name in commands}
         for _ in range(runs):

@@ -430,8 +430,8 @@ def default_constants(
 ) -> BoundConstants:
     """Fill unspecified constants from the architecture; runs no SVD.
 
-    B comes from the kernel diagonal of the input space; g_norm from the
-    Gaussian-head quadrature when the head is Gaussian (otherwise the
+    B comes from the kernel diagonal of the input space; g_norm from
+    `gaussian_head_norm` when the head is Gaussian (otherwise the
     head's user-supplied norm); activation norms from the elementwise
     s=1 formula.  The G_j depend on the weights: unless given, they stay
     None and `full_report` takes each layer's default from its spectrum

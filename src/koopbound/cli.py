@@ -128,27 +128,23 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    net = _load_network(args.weightfile)
+    wanted = None if args.variants is None else [v.strip() for v in args.variants.split(",")]
+    unknown = [v for v in wanted or () if v not in bounds_mod.ALL_VARIANTS]
+    if unknown:
+        raise CliError(f"--variants: unknown variant {unknown[0]!r}; "
+                       f"known: {', '.join(bounds_mod.ALL_VARIANTS)}")
     sigma_norms = _parse_floats(args.sigma_norms, "--sigma-norms")
     g_factors = _parse_floats(args.g_factors, "--g-factors")
+    net = _load_network(args.weightfile)
     with _report_errors():
         c = bounds_mod.default_constants(
             net, args.n, B=args.B, g_norm=args.g_norm,
             sigma_norms=sigma_norms, g_factors=g_factors,
         )
         report = bounds_mod.full_report(net, c)
-    if args.variants is not None:
-        wanted = [v.strip() for v in args.variants.split(",")]
-        for v in wanted:
-            if v not in bounds_mod.ALL_VARIANTS:
-                raise CliError(
-                    f"--variants: unknown variant {v!r}; "
-                    f"known: {', '.join(bounds_mod.ALL_VARIANTS)}"
-                )
+    if wanted is not None:
         report.totals = {k: v for k, v in report.totals.items() if k in wanted}
-        report.inapplicable = {
-            k: v for k, v in report.inapplicable.items() if k in wanted
-        }
+        report.inapplicable = {k: v for k, v in report.inapplicable.items() if k in wanted}
         for rec in report.layers:
             rec.factors = {k: v for k, v in rec.factors.items() if k in wanted}
     text = report.to_json() if args.out == "json" else report.to_csv()

@@ -217,10 +217,9 @@ class NetworkSpec:
         if not self.layers:
             errs.append("network must have at least one layer")
             return errs
-        if not self.s_in > self.input_dim / 2:
-            errs.append(
-                f"s_in={self.s_in} must exceed input_dim/2={self.input_dim / 2}"
-            )
+        if not self.input_dim / 2 < self.s_in < math.inf:
+            errs.append(f"s_in={self.s_in} must exceed "
+                        f"input_dim/2={self.input_dim / 2} and be finite")
         prev_dim = self.input_dim
         prev_s = self.s_in
         for j, layer in enumerate(self.layers, start=1):
@@ -234,11 +233,9 @@ class NetworkSpec:
                     f"layer {j}: bias length {layer.bias.shape[0]} does not "
                     f"match {layer.out_dim} rows"
                 )
-            if not layer.s_out > layer.out_dim / 2:
-                errs.append(
-                    f"layer {j}: s={layer.s_out} must exceed "
-                    f"out_dim/2={layer.out_dim / 2}"
-                )
+            if not layer.out_dim / 2 < layer.s_out < math.inf:
+                errs.append(f"layer {j}: s={layer.s_out} must exceed "
+                            f"out_dim/2={layer.out_dim / 2} and be finite")
             if not layer.s_out >= prev_s:
                 errs.append(
                     f"layer {j}: smoothness must be non-decreasing, "

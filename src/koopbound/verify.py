@@ -190,23 +190,26 @@ def suite_kernels(seed: int = 0) -> dict:
     from scipy import integrate
 
     checks = []
-    worst = 0.0
-    for d, s in ((1, 1.0), (2, 1.55), (3, 2.0)):
-        def radial(r, d=d, s=s):
-            area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+    worst = worst_head = 0.0
+    for d, s, c in ((1, 1.0, 1.0), (2, 1.55, 0.25), (3, 2.0, 3.0)):
+        area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+
+        def radial(r, d=d, s=s, area=area):
             return area * r ** (d - 1) / (1.0 + r * r) ** s
+
+        def head(r, d=d, s=s, c=c, area=area):  # the radial integrand of ||g||^2
+            return area * (math.pi / c) ** d * r ** (d - 1) * math.exp(-r * r / (2 * c)) \
+                * (1.0 + r * r) ** s
 
         quad_val, _ = integrate.quad(radial, 0.0, np.inf)
         closed = kernels.kernel_trace_bound(d, s) ** 2
         worst = max(worst, abs(closed - quad_val) / quad_val)
-    checks.append(
-        _check(
-            "kernel diagonal closed form vs radial quadrature",
-            worst < 1e-6,
-            f"worst relative error {worst:.3e} (tolerance 1e-6)",
-            worst=worst,
-        )
-    )
+        quad_val, _ = integrate.quad(head, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)
+        worst_head = max(worst_head, abs(kernels.gaussian_head_norm(d, s, c) ** 2 / quad_val - 1))
+    for name, err, tol in (("kernel diagonal closed form", worst, "1e-6"),
+                           ("Gaussian-head norm", worst_head, "1e-10")):
+        checks.append(_check(f"{name} vs radial quadrature", err < float(tol),
+                             f"worst relative error {err:.3e} (tolerance {tol})", worst=err))
     worst = 0.0
     for r in np.linspace(0.05, 5.0, 20):
         val = kernels.sobolev_kernel([0.0], [r], 1, 1.0)

@@ -100,6 +100,17 @@ class TestUsageErrors:
         assert code == cli.EXIT_USAGE
         assert "unknown variant" in capsys.readouterr().err
 
+    def test_unknown_variant_is_checked_before_the_report(self, tmp_path, capsys):
+        """The report of this net overflows float64 (layer 2 scaled by 1e-6);
+        the bad --variants value is reported, not the overflow."""
+        net = _digits_net()
+        net.layers[1].weight = 1e-6 * net.layers[1].weight
+        path = tmp_path / "tiny.json"
+        weightio.save_weights(net, path)
+        code = run_cli("bound", str(path), "--n", "100", "--variants", "bogus")
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --variants: unknown variant 'bogus'")
+
     def test_bad_sigma_norms(self, weightfile, capsys):
         code = run_cli("bound", weightfile, "--n", "100", "--sigma-norms", "1.0,x")
         assert code == cli.EXIT_USAGE
@@ -369,6 +380,37 @@ class TestInspectCommand:
         assert "rank deficient" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("s,message", [
+    (math.inf, "invalid network: layer 2: s=inf must exceed"),
+    (1e300, "the bound report overflows float64"),
+])
+def test_extreme_smoothness_order_exits_2_with_one_line(tmp_path, capsys, s, message):
+    """An s of Infinity (which json accepts) fails validation; s = 1e300 is
+    valid but its Gaussian-head norm is beyond float64.  No warning either way."""
+    doc = weightio.network_to_json_dict(build_network([3, 3, 6], GaussianHead(), seed=0))
+    doc["layers"][-1]["s"] = s
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("bound", str(path), "--n", "100"), ("inspect", str(path))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+
+def test_gaussian_head_width_80_exits_0(tmp_path, capsys):
+    """The radial integrand (1 + r^2)^s overflows at d = 80; ||g|| does not."""
+    net = build_network([3, 3, 80], GaussianHead(), seed=0, init=["orthogonal", "orthogonal"])
+    path = tmp_path / "net.json"
+    weightio.save_weights(net, path)
+    assert run_cli("bound", str(path), "--n", "60000") == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["metadata"]["g_norm"] == pytest.approx(2.0007e77, rel=1e-4)
+    assert all(0.0 < v < math.inf for v in doc["totals"].values())
+
+
 def _cut_to_rank_64(w):
     # the 64 zeroed singular values come back near 1e-16
     u, sv, vt = np.linalg.svd(w)
@@ -549,11 +591,13 @@ SOFTMAX_PATHS_SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
     from koopbound import bounds, cli, trainer
     from koopbound.network import GaussianHead
-    path, outdir = sys.argv[1:]
+    path, gaussian_path, outdir = sys.argv[1:]
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [
             cli.main(["bound", path, "--n", "1500"]),
             cli.main(["inspect", path]),
+            cli.main(["bound", gaussian_path, "--n", "1500"]),
+            cli.main(["inspect", gaussian_path]),
         ]
         scipy_after_bound = sorted(
             m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -569,20 +613,22 @@ SOFTMAX_PATHS_SCRIPT = textwrap.dedent("""
 
 
 def test_softmax_commands_do_not_load_quadrature(tmp_path):
-    """bound and inspect (softmax head) import no scipy module at all, and
-    digits training never imports scipy.integrate, nor the optimize and
-    sparse packages it pulls in; a Gaussian head still gets the same
-    quadrature from the lazy import."""
-    path = tmp_path / "net.json"
+    """bound and inspect, on a softmax-head and on a Gaussian-head net, import
+    no scipy module at all, and digits training never imports scipy.integrate,
+    nor the optimize and sparse packages it pulls in; the Gaussian-head norm
+    computed in that process equals this one's."""
+    path, gaussian_path = tmp_path / "net.json", tmp_path / "gaussian.json"
     weightio.save_weights(_digits_net(), path)
+    weightio.save_weights(build_network([3, 3, 6], GaussianHead(), seed=2), gaussian_path)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", SOFTMAX_PATHS_SCRIPT, str(path), str(tmp_path / "run")],
+        [sys.executable, "-c", SOFTMAX_PATHS_SCRIPT, str(path), str(gaussian_path),
+         str(tmp_path / "run")],
         capture_output=True, text=True, env=env, check=True, timeout=300,
     )
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0, 0, 0]
+    assert doc["codes"] == [0, 0, 0, 0, 0]
     assert doc["scipy_after_bound"] == []
     assert doc["loaded"] == []
     expected = bounds.default_constants(build_network([3, 3, 6], GaussianHead(), seed=0), 100)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,7 +131,73 @@ class TestSobolevGram:
         assert float(np.linalg.eigvalsh(gram)[0]) >= -1e-8
 
 
+def _radial_quad_norm(d: int, s: float, c: float) -> float:
+    """||g|| by scipy's quad on the radial integral r^(d-1) e^(-r^2/(2c)) (1+r^2)^s.
+
+    The integrand is divided by its value at r^2 = c (d + 2s), near its peak,
+    so that it fits float64 where (1 + r^2)^s alone does not, and the range is
+    split there, so that quad cannot miss the narrow peak of a large d; epsrel
+    is 1e-13, which keeps quad's own error near 5e-14 on the grid below.
+    """
+    from scipy import integrate
+
+    def log_f(r):
+        return (d - 1) * math.log(r) - r * r / (2.0 * c) + s * math.log1p(r * r)
+
+    peak = math.sqrt(c * (d + 2.0 * s))
+    ref = log_f(peak)
+
+    def f(r):
+        return math.exp(log_f(r) - ref) if r > 0 else 0.0
+
+    val = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+              for lo, hi in ((0.0, peak), (peak, np.inf)))
+    log_area = math.log(2.0) + (d / 2) * math.log(math.pi) - math.lgamma(d / 2)
+    return math.exp(0.5 * (log_area + d * math.log(math.pi / c) + ref + math.log(val)))
+
+
 class TestGaussianHeadNorm:
+    @pytest.mark.parametrize("c", [0.25, 1.0, 3.0])
+    def test_matches_radial_quadrature(self, c):
+        """The trapezoid rule in log r against quad in r, within 1e-13 relative."""
+        worst = max(
+            abs(gaussian_head_norm(d, s, c) / _radial_quad_norm(d, s, c) - 1.0)
+            for d in range(1, 80) for s in ((d + 0.1) / 2, d / 2 + 2)
+        )
+        assert worst < 1e-13
+
+    def test_matches_hyperu_closed_form(self):
+        worst = max(
+            abs(gaussian_head_norm(d, d / 2 + ds, c)
+                / oracles.gaussian_head_norm_hyperu(d, d / 2 + ds, c) - 1.0)
+            for d in (1, 2, 3, 5, 8, 13, 21, 34, 55, 79)
+            for c in (0.05, 0.25, 1.0, 3.0, 20.0)
+            for ds in (0.05, 0.5, 2.0, 20.0)
+        )
+        assert worst < 1e-10
+
+    @pytest.mark.parametrize("d", [80, 128, 256])
+    def test_finite_beyond_width_80(self, d):
+        """Where (1 + r^2)^s overflows in r space; ||g|| itself fits float64."""
+        for c in (0.25, 1.0, 3.0):
+            val = gaussian_head_norm(d, (d + 0.1) / 2, c)
+            assert 0.0 < val < math.inf
+            assert val == pytest.approx(_radial_quad_norm(d, (d + 0.1) / 2, c), rel=1e-12)
+
+    def test_width_80_value(self):
+        assert gaussian_head_norm(80, 40.05, 1.0) == pytest.approx(2.0007e77, rel=1e-4)
+
+    @pytest.mark.parametrize("d,s", [(6, 1e300), (6, math.inf), (512, 256.05)])
+    def test_beyond_float64_raises_overflow_without_warning(self, d, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                gaussian_head_norm(d, s, 1.0)
+
+    def test_nan_order_diverges(self):
+        with pytest.raises(KernelDivergenceError):
+            gaussian_head_norm(2, math.nan, 1.0)
+
     def test_monotone_in_s(self):
         assert gaussian_head_norm(1, 2.0, 1.0) > gaussian_head_norm(1, 1.1, 1.0)
 
@@ -146,6 +213,8 @@ class TestGaussianHeadNorm:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             gaussian_head_norm(1, 1.0, 0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            gaussian_head_norm(1, 1.0, math.inf)
 
     def test_diverges_below_order_limit(self):
         with pytest.raises(KernelDivergenceError):

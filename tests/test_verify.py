@@ -80,7 +80,7 @@ class TestCheckValues:
             "lemma1": [["worst_gap"], ["worst_cover"]],
             "dominance": [["lower", "upper"]] * 2,
             "gradients": [["worst"]] * 3,
-            "kernels": [["worst"], ["worst"], ["min_eigenvalue"]],
+            "kernels": [["worst"], ["worst"], ["worst"], ["min_eigenvalue"]],
         }
         for verdict in verdicts.values():
             for check in verdict["checks"]:
