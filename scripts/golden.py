@@ -10,6 +10,8 @@ Runs, in process and from the checkout's own `src`:
   regularizer (`--config {"regularizer": "perlayer", "batch_size": null}`,
   written to a temporary file);
 - `train` digits, seed 0, 2 epochs, with and without the regularizer;
+- `train` synthetic, seeds 0 and 1, 5 epochs (`--seeds 0,1`), into
+  synthetic_seeds/: seed0/, seed1/ and correlation_summary.csv;
 - a rank-deficient 3-3-6 Gaussian-head net (seed 0, layer 1 replaced by
   the rank-1 outer([1, 2, 0.5], [1, 0, 1])), saved as rank1/weights.json;
 - the same seed-0 net with layer 2 all zeros, saved as zero2/weights.json;
@@ -52,6 +54,8 @@ TRAIN_RUNS = {
     "digits_reg": ["--task", "digits", "--epochs", "2"],
     "digits_unreg": ["--task", "digits", "--epochs", "2", "--no-regularizer"],
 }
+# the seed sweep: one run directory per seed plus correlation_summary.csv
+SEED_SWEEP = ["--task", "synthetic", "--seeds", "0,1", "--epochs", "5"]
 # the --config a train run reads, by run name
 TRAIN_CONFIGS = {"synthetic_perlayer": {"regularizer": "perlayer", "batch_size": None}}
 # every constant the bound command accepts, set by hand
@@ -82,6 +86,9 @@ def run(outdir: str) -> int:
                 config.write_text(json.dumps(TRAIN_CONFIGS[name]))
                 argv += ["--config", str(config)]
             worst = max(worst, _cli(argv, out / f"{name}.train.txt"))
+    with contextlib.redirect_stdout(io.StringIO()):  # it prints the outdir path
+        code = cli_main(["train", *SEED_SWEEP, "--outdir", str(out / "synthetic_seeds")])
+    worst = max(worst, code)
     # the "numerically singular" and "lacks full column rank" reasons and
     # the inspect "rank deficient" label
     rank1 = trainer.build_network([3, 3, 6], GaussianHead(), seed=0)

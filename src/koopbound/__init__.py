@@ -8,12 +8,10 @@ from .matcore import (
     RankDeficientError,
     singular_values,
     operator_norm,
-    numeric_rank,
     rank_tolerance,
     pq_norm,
     gram_logdet,
     restricted_det,
-    condition_number,
 )
 from .kernels import (
     KernelDivergenceError,

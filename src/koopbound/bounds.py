@@ -31,13 +31,19 @@ their natural logs, read from the spectrum's log-determinants:
 ratio is formed, so a (scaled-)orthogonal layer contributes log 1 = 0
 whatever its width.  A variant's total is exp(log prefactor + sum of its
 per-layer logs), exponentiated once; the report's per-layer factors are
-the exponentials of the table's entries.  A report row also holds the
-layer's stable rank and its constants-free injective factor
-(`koopman_factor`, from the same log helper), which the training
-spectrum log and `inspect` print.  `density_ratio_grid_sup` is the
-sampled oracle for the density-ratio closed form, on a fixed radius grid.
-The activation constant ||K_sigma|| comes from the closed-form extremes
-of the activation's derivative.
+the exponentials of the table's entries.  A None entry marks a layer that
+fails the variant's precondition, and `full_report` reads every decision
+from these entries: a per-layer variant is inapplicable at its first
+failing layer, whose reason (`_why_inapplicable`) names that layer, and
+the combined bound's Koopman prefix ends there in the injective column.
+`_COMPETITORS` is the one list of competitor bounds; `ALL_VARIANTS` is
+built from it.  A report row also holds the layer's stable rank and its
+constants-free injective factor (`koopman_factor`, the table's log
+Koopman factor), which the training spectrum log and `inspect` print.
+`density_ratio_grid_sup` is the sampled oracle for the density-ratio
+closed form, on a fixed radius grid.  The activation constant
+||K_sigma|| comes from the closed-form extremes of the activation's
+derivative.
 """
 
 from __future__ import annotations
@@ -70,8 +76,6 @@ from .network import (
 )
 
 KOOPMAN_VARIANTS = ("invertible", "injective", "graph", "weighted", "combined")
-COMPETITOR_VARIANTS = ("neyshabur15", "neyshabur18", "golowich18", "bartlett17")
-ALL_VARIANTS = KOOPMAN_VARIANTS + COMPETITOR_VARIANTS
 
 
 class VariantInapplicable(Exception):
@@ -115,18 +119,12 @@ class BoundConstants:
 
 
 # ---------------------------------------------------------------------------
-# one spectrum per layer (matcore.LayerSpectrum)
+# per-layer ingredients; `layer` is a LayerSpectrum or a weight matrix
 
 
 def _spectrum(layer) -> LayerSpectrum:
-    """The spectrum of a LayerSpectrum or a bare weight matrix."""
-    if isinstance(layer, LayerSpectrum):
-        return layer
-    return LayerSpectrum.of(layer)
-
-
-# ---------------------------------------------------------------------------
-# per-layer ingredients; `layer` is a LayerSpectrum or a weight matrix
+    """The spectrum of a LayerSpectrum or a bare weight matrix (one SVD)."""
+    return layer if isinstance(layer, LayerSpectrum) else LayerSpectrum.of(layer)
 
 
 def _log_norm_power(spec: LayerSpectrum, s_prev: float) -> float:
@@ -256,32 +254,32 @@ def _why_inapplicable(spec: LayerSpectrum, variant: str) -> str | None:
 
 
 def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants, g_factors):
-    """Per layer, the natural log of each per-layer Koopman variant's factor,
-    and the natural log of the constants-free spectral product.
+    """Per layer, the natural log of each per-layer Koopman variant's factor;
+    the natural log of the constants-free spectral product; and per layer,
+    the log of the constants-free Koopman factor (`_log_koopman_factor`).
 
     s_chain is the smoothness chain: s_chain[j] is the smoothness of layer
     j's input space, s_chain[j + 1] of its output.  The factors include the
     layer's isotropy factor G (`g_factors`) and activation norm ||K_sigma||
-    from `c`.
-    None marks a variant whose precondition the layer fails
-    (`_why_inapplicable`).  The spectral product is
-    prod_j ||W_j||^s_(j+1) / (prod of W_j's singular values)^(1/2), with
-    each layer's own smoothness and no max{1, .}; its log is None when a
-    layer is numerically rank deficient (rank below min(rows, cols)).
+    from `c`.  None marks a variant whose precondition the layer fails
+    (`_why_inapplicable`), and a layer without a Koopman factor.  The
+    spectral product is prod_j ||W_j||^s_(j+1) / (prod of W_j's singular
+    values)^(1/2), with each layer's own smoothness and no max{1, .}; its
+    log is None when a layer is numerically rank deficient (rank below
+    min(rows, cols)).
     """
-    table = []
+    table, log_koopman = [], []
     log_matrix = 0.0
     for spec, s, s_out, g, sig in zip(
         spectra, s_chain, s_chain[1:], g_factors, c.sigma_norms
     ):
         log_g, log_sig = math.log(g), math.log(sig)
         log_lift = _log_norm_power(spec, s)  # log max{1, ||W||^s}
-        koop = _log_koopman_factor(spec, s)
-        if koop is not None:
-            koop += log_sig
+        koop = _log_koopman_factor(spec, s)  # not None wherever invertible applies
+        log_koopman.append(koop)
         table.append({
-            "invertible": None if _why_inapplicable(spec, "invertible") else koop,
-            "injective": None if koop is None else koop + log_g,
+            "invertible": None if _why_inapplicable(spec, "invertible") else koop + log_sig,
+            "injective": None if koop is None else koop + log_sig + log_g,
             "graph": (
                 s / 2.0 * log1p_square(spec.op_norm) - spec.lifted_logdet / 4.0
                 + log_g + log_sig
@@ -295,20 +293,12 @@ def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants, g_fa
         else:
             log_sigma_sum = float(np.sum(np.log(spec.sigma)))
             log_matrix += s_out * math.log(spec.op_norm) - 0.5 * log_sigma_sum
-    return table, log_matrix
+    return table, log_matrix, log_koopman
 
 
 def _total(c: BoundConstants, log_factors) -> float:
     """prefactor * prod(exp(log_factors)), exponentiated once."""
     return math.exp(sum(log_factors, math.log(c.prefactor)))
-
-
-def _variant_total(variant: str, spectra, table, c: BoundConstants) -> float:
-    for j, spec in enumerate(spectra, start=1):
-        why = _why_inapplicable(spec, variant)
-        if why:
-            raise VariantInapplicable(f"layer {j} {why}")
-    return _total(c, [row[variant] for row in table])
 
 
 def bound_injective(net: NetworkSpec, c: BoundConstants) -> float:
@@ -317,24 +307,6 @@ def bound_injective(net: NetworkSpec, c: BoundConstants) -> float:
     if "injective" in report.inapplicable:
         raise VariantInapplicable(report.inapplicable["injective"])
     return report.totals["injective"]
-
-
-def _feasible_prefix_length(spectra: list[LayerSpectrum]) -> int:
-    """Longest l such that layers 1..l all satisfy the injective preconditions."""
-    return next(
-        (j for j, spec in enumerate(spectra) if _why_inapplicable(spec, "injective")),
-        len(spectra),
-    )
-
-
-def _combined(spectra, table, c: BoundConstants, l: int) -> float:
-    """The combined total at a split l that `_combined_best` found feasible."""
-    tail = [spec.fro_norm for spec in spectra[l:]]
-    if 0.0 in tail:
-        return 0.0  # a zero layer collapses the Frobenius tail
-    return _total(
-        c, [row["injective"] for row in table[:l]] + [math.log(2.0 * f) for f in tail]
-    )
 
 
 def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
@@ -359,16 +331,6 @@ def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
     return per_l[l][1]
 
 
-def _combined_best(spectra, table, c: BoundConstants):
-    feasible = _feasible_prefix_length(spectra)
-    per_l = [
-        (l, _combined(spectra, table, c, l) if l <= feasible else None)
-        for l in range(len(spectra) + 1)
-    ]
-    best_l, best_val = min(per_l[: feasible + 1], key=lambda lv: lv[1])
-    return best_l, best_val, per_l
-
-
 def bound_combined_best(
     net: NetworkSpec, c: BoundConstants
 ) -> tuple[int, float, list[tuple[int, float | None]]]:
@@ -378,15 +340,15 @@ def bound_combined_best(
 
 
 # ---------------------------------------------------------------------------
-# competitor bounds (norm-based rates, implemented verbatim)
+# competitor bounds (norm-based rates, implemented verbatim), each f(net, spectra, n)
 
 
-def _neyshabur15(spectra: list[LayerSpectrum], n: int) -> float:
+def _neyshabur15(net: NetworkSpec, spectra, n: int) -> float:
     prod = math.prod(spec.fro_norm for spec in spectra)
     return 2.0 ** len(spectra) * prod / math.sqrt(n)
 
 
-def _neyshabur18(spectra: list[LayerSpectrum], n: int) -> float:
+def _neyshabur18(net: NetworkSpec, spectra, n: int) -> float:
     if any(spec.op_norm == 0.0 for spec in spectra):
         raise VariantInapplicable(
             "zero operator norm makes the stable-rank sum undefined"
@@ -397,7 +359,7 @@ def _neyshabur18(spectra: list[LayerSpectrum], n: int) -> float:
     return len(spectra) * max_width * prod * math.sqrt(ratio_sum) / math.sqrt(n)
 
 
-def _golowich18(spectra: list[LayerSpectrum], n: int) -> float:
+def _golowich18(net: NetworkSpec, spectra, n: int) -> float:
     prod = math.prod(spec.fro_norm for spec in spectra)
     return prod * min(n ** -0.25, math.sqrt(len(spectra) / n))
 
@@ -414,6 +376,15 @@ def _bartlett17(net: NetworkSpec, spectra, n: int) -> float:
         disc_sum += disc ** (2.0 / 3.0) / spec.op_norm ** (2.0 / 3.0)
     prod = math.prod(spec.op_norm for spec in spectra)
     return prod / math.sqrt(n) * disc_sum ** 1.5
+
+
+_COMPETITORS = {
+    "neyshabur15": _neyshabur15,
+    "neyshabur18": _neyshabur18,
+    "golowich18": _golowich18,
+    "bartlett17": _bartlett17,
+}
+ALL_VARIANTS = KOOPMAN_VARIANTS + tuple(_COMPETITORS)
 
 
 # ---------------------------------------------------------------------------
@@ -587,25 +558,35 @@ def full_report(net: NetworkSpec, c: BoundConstants) -> BoundReport:
         raise InvalidParameterError(
             "sigma_norms and g_factors must have one entry per layer"
         )
-    table, log_matrix = _factor_table(spectra, s_chain, c, g_factors)
+    table, log_matrix, log_koopman = _factor_table(spectra, s_chain, c, g_factors)
     totals: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
-
-    def attempt(name, fn, *args):
+    # per per-layer variant (a table column): its first layer with a None entry, else the depth
+    gap = {
+        v: next((j for j, row in enumerate(table) if row[v] is None), net.depth)
+        for v in table[0]
+    }
+    for variant, j in gap.items():
+        if j < net.depth:
+            inapplicable[variant] = f"layer {j + 1} {_why_inapplicable(spectra[j], variant)}"
+        else:
+            totals[variant] = _total(c, [row[variant] for row in table])
+    # combined: the injective factors of layers 1..l, then 2 ||W_j||_F for each later
+    # layer; a zero layer (None below) collapses that Frobenius tail to 0
+    feasible = gap["injective"]
+    log_tail = [math.log(2.0 * spec.fro_norm) if spec.fro_norm else None for spec in spectra]
+    per_l = [
+        (l, None if l > feasible else 0.0 if None in log_tail[l:]
+         else _total(c, [row["injective"] for row in table[:l]] + log_tail[l:]))
+        for l in range(net.depth + 1)
+    ]
+    l_star, totals["combined"] = min(per_l[: feasible + 1], key=lambda lv: lv[1])
+    for name, competitor in _COMPETITORS.items():
         try:
-            totals[name] = fn(*args)
+            totals[name] = competitor(net, spectra, c.n)
         except VariantInapplicable as exc:
             inapplicable[name] = exc.reason
 
-    for variant in KOOPMAN_VARIANTS[:-1]:  # the per-layer variants; combined follows
-        attempt(variant, _variant_total, variant, spectra, table, c)
-    l_star, totals["combined"], per_l = _combined_best(spectra, table, c)
-    attempt("neyshabur15", _neyshabur15, spectra, c.n)
-    attempt("neyshabur18", _neyshabur18, spectra, c.n)
-    attempt("golowich18", _golowich18, spectra, c.n)
-    attempt("bartlett17", _bartlett17, net, spectra, c.n)
-
-    log_koopman = [_log_koopman_factor(spec, s) for spec, s in zip(spectra, s_chain)]
     layers = [
         LayerRecord(
             index=j + 1,

@@ -80,11 +80,6 @@ def rank_tolerance(sigma_max: float, rows: int, cols: int) -> float:
     return 1e-8 * sigma_max * max(rows, cols)
 
 
-def numeric_rank(m) -> int:
-    """Count of singular values above rank_tolerance."""
-    return LayerSpectrum.of(m).rank
-
-
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # above it x^2 overflows
 
 
@@ -135,15 +130,6 @@ def restricted_det(m, tol: float) -> tuple[float, int]:
     """
     spec = LayerSpectrum.of(m, tol)
     return math.exp(spec.restricted_logdet), spec.restricted_rank
-
-
-def condition_number(m) -> float:
-    """sigma_1 / sigma_min over the min(rows, cols) singular values.
-
-    Returns +inf for singular matrices instead of raising: diagnostics
-    must be able to log degenerate training epochs.
-    """
-    return LayerSpectrum.of(m).condition_number
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,24 @@ def write_scatter(path, xs, ys, **kwargs) -> None:
     Path(path).write_text(scatter_svg(xs, ys, **kwargs))
 
 
+def _unit_scaled(values) -> list[float]:
+    """values times 2^-e, e the binary exponent of the largest magnitude: every
+    magnitude ends at most 1, exactly unless it falls below the normal range."""
+    exponent = math.frexp(max(abs(v) for v in values))[1]
+    return [math.ldexp(v, -exponent) for v in values]
+
+
 def pearson(xs, ys) -> float:
-    """Pearson correlation, written out to keep the plot module dependency-free."""
+    """Pearson correlation, written out to keep the plot module dependency-free.
+
+    r does not depend on scale, so each series is first scaled by a power
+    of two (`_unit_scaled`): deviations of values near float64's limit,
+    such as a deep net's `matrix_factor`, would overflow when squared.
+    """
     n = len(xs)
     if n != len(ys) or n < 2:
         raise ValueError("need two sequences of equal length >= 2")
+    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
     mx = sum(xs) / n
     my = sum(ys) / n
     cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))

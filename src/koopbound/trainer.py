@@ -90,11 +90,10 @@ def _head_loss(head) -> str:
     raise TrainerError(f"head {head!r} has no training loss")
 
 
-def _mean_loss(head, head_loss: str, out: np.ndarray, Y) -> float:
-    """Mean loss of head outputs against real targets or integer labels."""
-    if head_loss != _head_loss(head):
-        raise TrainerError(f"head loss {head_loss!r} does not pair with head {head!r}")
-    if head_loss == "squared":
+def _mean_loss(head, out: np.ndarray, Y) -> float:
+    """Mean loss of head outputs against real targets or integer labels, under
+    the loss `_LOSS_HEADS` pairs with the head."""
+    if _head_loss(head) == "squared":
         loss = float(np.mean((out - np.asarray(Y, dtype=float).reshape(-1)) ** 2))
     else:
         labels = np.asarray(Y, dtype=int).reshape(-1)
@@ -116,11 +115,13 @@ def forward(net: NetworkSpec, x):
     return out[0] if single else out
 
 
-def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str = "squared"):
+def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str | None = None):
     """Mean loss over the batch and analytic gradients per parameter.
 
-    head_loss "squared" pairs with the Gaussian head and real targets;
-    "cross_entropy" pairs with the softmax head and integer labels.
+    The loss is the one `_LOSS_HEADS` pairs with net.head: "squared" for
+    the Gaussian head and real targets, "cross_entropy" for the softmax
+    head and integer labels.  head_loss None takes it from the head; an
+    explicit head_loss must name it, else TrainerError.
     Returns (loss, [(dW_1, db_1), ..., (dW_L, db_L)]).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -130,8 +131,11 @@ def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str = "squared"):
     derivs, post = _forward_cache(net, X, with_derivatives=True)
     z_last = post[-1]
     f = _head_output(net.head, z_last)
-    loss = _mean_loss(net.head, head_loss, f, Y)
-    if head_loss == "squared":
+    paired = _head_loss(net.head)
+    if head_loss not in (None, paired):
+        raise TrainerError(f"head loss {head_loss!r} does not pair with head {net.head!r}")
+    loss = _mean_loss(net.head, f, Y)
+    if paired == "squared":
         y = np.asarray(Y, dtype=float).reshape(-1)
         # d loss / d z_L = (2/n) (f - y) * f * (-2c) z_L
         delta = ((2.0 / n) * (f - y) * f * (-2.0 * net.head.c))[:, None] * z_last
@@ -497,7 +501,6 @@ def train(
     Sets the process's malloc thresholds (see _keep_freed_heap).
     """
     check_setup(config, net0)
-    head_loss = _head_loss(net0.head)
     _keep_freed_heap()
     net = copy.deepcopy(net0)
     rng = np.random.default_rng(config.seed)
@@ -516,7 +519,7 @@ def train(
 
     def step(batch_x, batch_y):
         nonlocal adam_t
-        _, grads = loss_and_grads(net, batch_x, batch_y, head_loss)
+        _, grads = loss_and_grads(net, batch_x, batch_y)
         _apply_regularizer(net, config, grads)
         flat_grads = [g for pair in grads for g in pair]
         if config.optimizer == "sgd":
@@ -547,8 +550,8 @@ def train(
                     step(dataset.inputs[idx], dataset.targets[idx])
             train_out = forward(net, dataset.inputs)
             held_out = forward(net, dataset.held_inputs)
-            train_loss = _mean_loss(net.head, head_loss, train_out, dataset.targets)
-            held_loss = _mean_loss(net.head, head_loss, held_out, dataset.held_targets)
+            train_loss = _mean_loss(net.head, train_out, dataset.targets)
+            held_loss = _mean_loss(net.head, held_out, dataset.held_targets)
             report = bounds_mod.full_report(net, constants)
             test_acc = _accuracy(held_out, dataset.held_targets) if classification else None
             snap = diagnostics.snapshot(report, epoch, test_metric=test_acc)

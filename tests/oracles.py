@@ -23,7 +23,7 @@ import numpy as np
 
 from koopbound.kernels import kernel_trace_bound, sobolev_kernel
 from koopbound.rademacher import BIAS_RADIUS, _draw_seed
-from koopbound.trainer import _accuracy, _head_loss, _mean_loss, forward
+from koopbound.trainer import _accuracy, _mean_loss, forward
 
 
 def gaussian_head_norm_hyperu(d: int, s: float, c: float) -> float:
@@ -233,11 +233,8 @@ def rkhs_ball_rademacher(
 def gen_error_estimate(net, data) -> float:
     """|mean held-out loss - mean training loss| under the head's loss, from one
     forward pass over each table."""
-    head_loss = _head_loss(net.head)
-    train_loss = _mean_loss(net.head, head_loss, forward(net, data.inputs), data.targets)
-    held_loss = _mean_loss(
-        net.head, head_loss, forward(net, data.held_inputs), data.held_targets
-    )
+    train_loss = _mean_loss(net.head, forward(net, data.inputs), data.targets)
+    held_loss = _mean_loss(net.head, forward(net, data.held_inputs), data.held_targets)
     return abs(held_loss - train_loss)
 
 

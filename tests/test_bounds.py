@@ -234,8 +234,9 @@ class TestLayerSpectrum:
         spec = LayerSpectrum.of(w)
         assert spec.op_norm == matcore.operator_norm(w)
         assert spec.fro_norm == matcore.pq_norm(w, 2, 2)
-        assert spec.rank == matcore.numeric_rank(w)
-        assert spec.condition_number == matcore.condition_number(w)
+        sv = np.linalg.svd(w, compute_uv=False)
+        assert spec.rank == np.linalg.matrix_rank(w, tol=matcore.rank_tolerance(sv[0], *w.shape))
+        assert spec.condition_number == (math.inf if sv[-1] == 0.0 else sv[0] / sv[-1])
         rdet, rrank = matcore.restricted_det(w, 1e-8)
         assert spec.restricted_rank == rrank
         assert math.exp(spec.restricted_logdet) == pytest.approx(rdet, rel=1e-12)
@@ -494,6 +495,25 @@ class TestCombined:
         net = self._net()
         with pytest.raises(InvalidParameterError):
             bound_combined(net, constants_for(net), 3)
+
+    def test_reasons_and_prefix_name_the_first_failing_layer(self):
+        # layer 1 is tall with full rank, layer 2 square and singular
+        tall = np.random.default_rng(6).standard_normal((4, 3))
+        net = simple_net([tall, np.diag([2.0, 1.0, 0.5, 0.0])])
+        report = full_report(net, constants_for(net))
+        assert report.inapplicable["invertible"] == "layer 1 is 4x3, not square"
+        assert report.inapplicable["injective"].startswith("layer 2 lacks full column rank")
+        assert report.combined_per_l[2][1] is None
+        assert report.combined_l_star <= 1
+        assert tuple(r.variant_choice for r in report.layers) == ("injective", "graph")
+
+    def test_zero_layer_tail_is_zero_beside_an_overflowing_frobenius_norm(self):
+        # 2 ||W_1||_F overflows float64; the zero layer 2 still makes every
+        # feasible split's tail, and so the combined total, exactly 0
+        net = simple_net([np.eye(3) * 1e308, np.zeros((6, 3))])
+        report = full_report(net, constants_for(net))
+        assert report.combined_per_l == [(0, 0.0), (1, 0.0), (2, None)]
+        assert report.totals["combined"] == 0.0 and report.combined_l_star == 0
 
 
 class TestCompetitors:

@@ -22,6 +22,7 @@ from koopbound.matcore import RankDeficientError
 from koopbound.network import (
     CustomActivation, GaussianHead, LayerSpec, NetworkSpec, SmoothLeakyRelu, SoftmaxHead,
 )
+from koopbound.svgplot import pearson
 from koopbound.trainer import build_network
 
 
@@ -832,3 +833,23 @@ class TestSvgArtifact:
         assert "circle" in svg
         assert "date" not in svg.lower() and "time" not in svg.lower()
         capsys.readouterr()
+
+
+class TestPearson:
+    # shaped like a digits run's matrix_factor column, whose squares overflow float64
+    XS = [2.5e162, 4.1e169, 3.0e165, 1.0e168, 7.7e166]
+    YS = [0.10, 0.30, 0.20, 0.25, 0.15]
+
+    def test_series_near_float64_limit(self):
+        scaled = [x / 1e160 for x in self.XS]
+        assert pearson(self.XS, self.YS) == pytest.approx(pearson(scaled, self.YS), rel=1e-15)
+
+    def test_power_of_two_scale_is_exact(self):
+        xs = [x / 1e160 for x in self.XS]
+        r = pearson(xs, self.YS)
+        assert pearson([math.ldexp(x, 900) for x in xs], self.YS) == r
+        assert pearson(xs, [math.ldexp(y, -1000) for y in self.YS]) == r
+
+    def test_constant_series_gives_zero(self):
+        assert pearson([0.0, 0.0, 0.0], self.YS[:3]) == 0.0
+        assert pearson([1e300, 1e300], [1.0, 2.0]) == 0.0

@@ -77,6 +77,9 @@ GOLDEN_FILES = {
     *(f"{run}/{name}" for run in TRAIN_RUNS for name in (
         "bound_vs_generror.svg", "metrics.csv", "spectrum.csv", "weights.json")),
     *(f"{run}.train.txt" for run in TRAIN_RUNS),
+    *(f"synthetic_seeds/seed{seed}/{name}" for seed in (0, 1) for name in (
+        "bound_vs_generror.svg", "metrics.csv", "spectrum.csv", "weights.json")),
+    "synthetic_seeds/correlation_summary.csv",
     "rank1/weights.json", "zero2/weights.json",
     *(f"{net}.{kind}" for net in (*TRAIN_RUNS, "rank1", "zero2") for kind in (
         "bound.json", "bound.csv", "inspect.csv", "inspect.txt")),

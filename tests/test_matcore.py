@@ -15,10 +15,9 @@ from koopbound.matcore import (
     RankDeficientError,
     ShapeError,
     SvdConvergenceError,
-    condition_number,
+    LayerSpectrum,
     gram_logdet,
     log1p_square,
-    numeric_rank,
     operator_norm,
     pq_norm,
     rank_tolerance,
@@ -184,11 +183,11 @@ class TestRestrictedDet:
 
 class TestNumericRank:
     def test_full_rank(self):
-        assert numeric_rank(np.eye(4)) == 4
+        assert LayerSpectrum.of(np.eye(4)).rank == 4
 
     def test_near_zero_column(self):
         m = np.diag([1.0, 1e-15])
-        assert numeric_rank(m) == 1
+        assert LayerSpectrum.of(m).rank == 1
 
     def test_tolerance_formula(self):
         assert rank_tolerance(2.0, 3, 5) == pytest.approx(1e-8 * 2.0 * 5)
@@ -197,13 +196,13 @@ class TestNumericRank:
 class TestConditionNumber:
     def test_orthogonal_is_one(self):
         q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
-        assert condition_number(q) == pytest.approx(1.0)
+        assert LayerSpectrum.of(q).condition_number == pytest.approx(1.0)
 
     def test_singular_gives_inf_not_raise(self):
-        assert condition_number(np.diag([1.0, 0.0])) == math.inf
+        assert LayerSpectrum.of(np.diag([1.0, 0.0])).condition_number == math.inf
 
     def test_diag(self):
-        assert condition_number(np.diag([4.0, 2.0])) == pytest.approx(2.0)
+        assert LayerSpectrum.of(np.diag([4.0, 2.0])).condition_number == pytest.approx(2.0)
 
 
 class TestHelpersReadLayerSpectrum:
@@ -220,9 +219,10 @@ class TestHelpersReadLayerSpectrum:
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_helpers_equal_spectrum_fields(self, name):
         m = self.MATRICES[name]
-        spec = matcore.LayerSpectrum.of(m)
-        assert numeric_rank(m) == spec.rank
-        assert condition_number(m) == spec.condition_number
+        spec = LayerSpectrum.of(m)
+        sv = singular_values(m)
+        assert spec.rank == int(np.sum(sv > rank_tolerance(sv[0], *m.shape)))
+        assert spec.condition_number == (math.inf if sv[-1] == 0.0 else sv[0] / sv[-1])
         assert operator_norm(m) == spec.op_norm
         assert pq_norm(m, 2, 2) == spec.fro_norm
         assert restricted_det(m, 1e-8) == (

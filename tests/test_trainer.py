@@ -165,6 +165,21 @@ class TestLossGradients:
         with pytest.raises(TrainerError):
             loss_and_grads(net, np.ones((2, 3)), np.array([0.5, 0.5]), "squared")
 
+    @pytest.mark.parametrize("widths,head,head_loss", [
+        ([3, 4, 2], SoftmaxHead(), "cross_entropy"),
+        ([3, 3, 6], GaussianHead(), "squared"),
+    ])
+    def test_default_loss_follows_head(self, widths, head, head_loss):
+        net = build_network(widths, head, seed=3)
+        rng = np.random.default_rng(3)
+        X = rng.random((5, 3))
+        Y = rng.integers(0, 2, 5) if head_loss == "cross_entropy" else rng.random(5)
+        loss, grads = loss_and_grads(net, X, Y)
+        loss_named, grads_named = loss_and_grads(net, X, Y, head_loss)
+        assert loss == loss_named
+        for (gw, gb), (nw, nb) in zip(grads, grads_named):
+            assert np.array_equal(gw, nw) and np.array_equal(gb, nb)
+
 
 class TestPerLayerRegularizer:
     def test_zero_matrix_value(self):
