@@ -37,13 +37,9 @@ from .bounds import (
     NotBiLipschitzError,
     BoundConstants,
     density_ratio_bound,
-    density_ratio_grid_sup,
     koopman_layer_factor,
     g_factor_gaussian,
     activation_opnorm_bound,
-    bound_injective,
-    bound_combined,
-    bound_combined_best,
     default_constants,
     BoundReport,
     full_report,

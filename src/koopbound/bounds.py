@@ -15,11 +15,10 @@ Koopman prefix of length l with a Frobenius-product peeling tail
 2^(L-l) * prod ||W_j||_F.  The norm-based competitor bounds are
 implemented verbatim for comparison, bartlett17 with zero references.
 
-`full_report(net, c)` is the one way to ask for every total;
-`bound_injective`, `bound_combined` and `bound_combined_best` read their
-single totals from it.  The constants B, ||g|| and ||K_sigma|| depend on
-the architecture only (`default_constants`, no SVD); G depends on the
-weights, so the report takes each layer's default G from its spectrum.
+`full_report(net, c)` is the one way to ask for a bound.  The constants
+B, ||g|| and ||K_sigma|| depend on the architecture only
+(`default_constants`, no SVD); G depends on the weights, so the report
+takes each layer's default G from its spectrum.
 
 Each of these factors depends on W only through its singular values, so
 a layer's spectrum is computed once (`matcore.LayerSpectrum`) and every
@@ -40,10 +39,8 @@ the combined bound's Koopman prefix ends there in the injective column.
 built from it.  A report row also holds the layer's stable rank and its
 constants-free injective factor (`koopman_factor`, the table's log
 Koopman factor), which the training spectrum log and `inspect` print.
-`density_ratio_grid_sup` is the sampled oracle for the density-ratio
-closed form, on a fixed radius grid.  The activation constant
-||K_sigma|| comes from the closed-form extremes of the activation's
-derivative.
+The activation constant ||K_sigma|| comes from the closed-form extremes
+of the activation's derivative.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import matcore
 from .kernels import gaussian_head_norm, kernel_trace_bound
 from .matcore import (  # gram_logdet, LayerSpectrum, operator_norm, restricted_det: re-exported
     InvalidParameterError,
@@ -80,11 +76,6 @@ KOOPMAN_VARIANTS = ("invertible", "injective", "graph", "weighted", "combined")
 
 class VariantInapplicable(Exception):
     """A bound variant's precondition fails for this network."""
-
-    def __init__(self, reason: str, largest_feasible_l: int | None = None):
-        super().__init__(reason)
-        self.reason = reason
-        self.largest_feasible_l = largest_feasible_l
 
 
 class NotBiLipschitzError(Exception):
@@ -145,33 +136,6 @@ def _exp_or_inf(x: float) -> float:
 def density_ratio_bound(layer, s_prev: float) -> float:
     """Closed-form max{1, ||W||^(2s)} >= sup p(omega) / p(W^T omega); +inf beyond float64."""
     return _exp_or_inf(2.0 * _log_norm_power(_spectrum(layer), s_prev))
-
-
-def density_ratio_grid_sup(w, s_prev: float, s_cur: float) -> float:
-    """Sampled sup over omega in R(W) of (1+||W^T omega||^2)^s_prev / (1+||omega||^2)^s_cur.
-
-    Serves as the independent verification oracle showing the closed form
-    of density_ratio_bound really is an upper bound.  The directions are
-    the left singular vectors that span the range of W; the radii are 0
-    plus 200 log-spaced radii from 1e-3 to 1e6.
-    """
-    if not 0 < s_prev <= s_cur:
-        raise InvalidParameterError(
-            f"grid supremum needs 0 < s_prev <= s_cur, got {s_prev}, {s_cur}"
-        )
-    a = matcore.as_matrix(w)
-    # the ratio depends on omega only through its norms, so a direction's sign is free
-    u_mat, s, _ = np.linalg.svd(a)
-    tol = matcore.rank_tolerance(float(s[0]), *a.shape)
-    best = 1.0  # omega = 0 is always in the grid and gives ratio 1
-    radii = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 200)))
-    for u in u_mat[:, : s.size][:, s > tol].T:
-        omegas = radii[:, None] * u[None, :]
-        pulled = omegas @ a  # row i is W^T omega_i
-        num = (1.0 + np.sum(pulled ** 2, axis=1)) ** s_prev
-        den = (1.0 + radii ** 2) ** s_cur
-        best = max(best, float(np.max(num / den)))
-    return best
 
 
 def _log_koopman_factor(spec: LayerSpectrum, s_prev: float) -> float | None:
@@ -299,44 +263,6 @@ def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants, g_fa
 def _total(c: BoundConstants, log_factors) -> float:
     """prefactor * prod(exp(log_factors)), exponentiated once."""
     return math.exp(sum(log_factors, math.log(c.prefactor)))
-
-
-def bound_injective(net: NetworkSpec, c: BoundConstants) -> float:
-    """Bound for tall full-column-rank layers, with isotropy factors G_j."""
-    report = full_report(net, c)
-    if "injective" in report.inapplicable:
-        raise VariantInapplicable(report.inapplicable["injective"])
-    return report.totals["injective"]
-
-
-def bound_combined(net: NetworkSpec, c: BoundConstants, l: int) -> float:
-    """Koopman prefix of length l spliced with a Frobenius peeling tail.
-
-    value = 2^(L-l) * prod_{j>l} ||W_j||_F * B * ||g|| / sqrt(n)
-            * prod_{j<=l} G_j ||K_sigma_j|| max{1, ||W_j||^s} / det(W^T W)^(1/4).
-
-    l = L recovers bound_injective exactly; l = 0 recovers the pure
-    Frobenius-product endpoint.
-    """
-    if not (0 <= l <= net.depth):
-        raise InvalidParameterError(f"l must be in [0, {net.depth}], got {l}")
-    per_l = full_report(net, c).combined_per_l
-    if per_l[l][1] is None:
-        feasible = max(k for k, value in per_l if value is not None)
-        raise VariantInapplicable(
-            f"Koopman prefix of length {l} infeasible; "
-            f"largest feasible prefix is {feasible}",
-            largest_feasible_l=feasible,
-        )
-    return per_l[l][1]
-
-
-def bound_combined_best(
-    net: NetworkSpec, c: BoundConstants
-) -> tuple[int, float, list[tuple[int, float | None]]]:
-    """Minimize the combined bound over the split point l; ties go to smaller l."""
-    report = full_report(net, c)
-    return report.combined_l_star, report.totals["combined"], report.combined_per_l
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +473,10 @@ class BoundReport:
 def full_report(net: NetworkSpec, c: BoundConstants) -> BoundReport:
     """Evaluate every variant and competitor; inapplicable ones become markers.
 
+    `combined_per_l[l][1]` is the combined bound with a Koopman prefix of
+    length l (None past the feasible prefix; l = L is the injective total
+    bit for bit), and `combined_l_star` the smallest minimizing l.
+
     One SVD per layer: every quantity below, the default G_j among them,
     is read from the layers' spectra.
     """
@@ -585,7 +515,7 @@ def full_report(net: NetworkSpec, c: BoundConstants) -> BoundReport:
         try:
             totals[name] = competitor(net, spectra, c.n)
         except VariantInapplicable as exc:
-            inapplicable[name] = exc.reason
+            inapplicable[name] = str(exc)
 
     layers = [
         LayerRecord(

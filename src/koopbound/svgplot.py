@@ -1,7 +1,7 @@
 """Minimal deterministic SVG scatter plots (no timestamps, no dependencies).
 
-Output is byte-stable for identical inputs: floats are formatted with a
-fixed precision and no metadata is embedded.
+Output is byte-stable for identical inputs: coordinates have a fixed
+precision, axis labels four significant digits, and no metadata is embedded.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ def scatter_svg(xs, ys, shades, xlabel: str = "", ylabel: str = "") -> str:
         yv = y_lo + frac * y_span
         parts.append(
             f'<text x="{_fmt(px(xv))}" y="{height - margin + 18}" font-size="11" '
-            f'text-anchor="middle">{_fmt(xv)}</text>'
+            f'text-anchor="middle">{xv:.4g}</text>'
         )
         parts.append(
             f'<text x="{margin - 8}" y="{_fmt(py(yv) + 4)}" font-size="11" '
-            f'text-anchor="end">{_fmt(yv)}</text>'
+            f'text-anchor="end">{yv:.4g}</text>'
         )
     if xlabel:
         parts.append(

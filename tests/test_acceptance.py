@@ -252,17 +252,17 @@ def test_combined_bound_endpoints(capsys):
             widths.append(int(rng.integers(widths[-1], 6)))
         net = trainer.build_network(widths, GaussianHead(), seed=int(rng.integers(1 << 30)))
         c = bounds.default_constants(net, n=50)
-        try:
-            inj = bounds.bound_injective(net, c)
-        except bounds.VariantInapplicable:
+        report = bounds.full_report(net, c)
+        if "injective" in report.inapplicable:
             continue
-        at_l = bounds.bound_combined(net, c, depth)
+        inj = report.totals["injective"]
+        at_l = dict(report.combined_per_l)[depth]
         worst_l = max(worst_l, abs(at_l - inj) / inj)
         frob = math.prod(bounds.pq_norm(l.weight, 2, 2) for l in net.layers)
         ref0 = 2.0 ** depth * frob * c.prefactor
-        at_0 = bounds.bound_combined(net, c, 0)
+        at_0 = dict(report.combined_per_l)[0]
         worst_0 = max(worst_0, abs(at_0 - ref0) / ref0)
-        _, best, _ = bounds.bound_combined_best(net, c)
+        best = report.totals["combined"]
         best_ok = best_ok and best <= min(at_l, at_0) * (1 + 1e-12)
     ok = worst_l < 1e-12 and worst_0 < 1e-12 and best_ok and time.time() - t0 < 10.0
     _report(capsys, 9, ok, "combined-bound endpoints and optimality",

@@ -13,14 +13,9 @@ from koopbound.bounds import (
     BoundReport,
     LayerSpectrum,
     NotBiLipschitzError,
-    VariantInapplicable,
     activation_opnorm_bound,
-    bound_combined,
-    bound_combined_best,
-    bound_injective,
     default_constants,
     density_ratio_bound,
-    density_ratio_grid_sup,
     full_report,
     g_factor_gaussian,
     koopman_layer_factor,
@@ -79,26 +74,6 @@ class TestDensityRatio:
     def test_invalid_s(self):
         with pytest.raises(InvalidParameterError):
             density_ratio_bound(np.eye(2), 0.0)
-
-    def test_grid_sup_never_exceeds_closed_form(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            d = int(rng.integers(2, 5))
-            w = rng.standard_normal((d, d))
-            s = (d + 0.1) / 2.0
-            assert density_ratio_grid_sup(w, s, s) <= density_ratio_bound(w, s) + 1e-9
-
-    def test_grid_sup_tight_for_expanding_maps(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            w = rng.standard_normal((3, 3))
-            w *= 3.0 / bm.operator_norm(w)
-            s = 1.55
-            assert density_ratio_grid_sup(w, s, s) >= 0.99 * density_ratio_bound(w, s)
-
-    def test_grid_requires_compatible_orders(self):
-        with pytest.raises(InvalidParameterError):
-            density_ratio_grid_sup(np.eye(2), 2.0, 1.5)
 
 
 class TestKoopmanLayerFactor:
@@ -412,9 +387,8 @@ class TestVariants:
         w = rng.standard_normal((3, 3))
         net = simple_net([w])
         c = constants_for(net)
-        assert bound_injective(net, c) == pytest.approx(
-            full_report(net, c).totals["invertible"]
-        )
+        report = full_report(net, c)
+        assert report.totals["injective"] == pytest.approx(report.totals["invertible"])
 
     def test_graph_identity_spec_value(self):
         net = simple_net([np.eye(2)], s_in=1.55)
@@ -450,8 +424,9 @@ class TestCombined:
     def test_endpoint_full_prefix_is_injective(self):
         net = self._net()
         c = constants_for(net)
-        assert bound_combined(net, c, net.depth) == pytest.approx(
-            full_report(net, c).totals["injective"], rel=1e-12
+        report = full_report(net, c)
+        assert report.combined_per_l[net.depth][1] == pytest.approx(
+            report.totals["injective"], rel=1e-12
         )
 
     def test_endpoint_zero_is_frobenius_product(self):
@@ -463,14 +438,14 @@ class TestCombined:
             * np.linalg.norm(net.layers[1].weight, "fro")
             / 5.0
         )
-        assert bound_combined(net, c, 0) == pytest.approx(expected, rel=1e-12)
+        assert full_report(net, c).combined_per_l[0][1] == pytest.approx(expected, rel=1e-12)
 
     def test_full_prefix_equals_injective_exactly(self):
         for seed in range(5):
             net = self._net(seed)
             c = constants_for(net)
-            _, _, per_l = bound_combined_best(net, c)
-            assert per_l[net.depth][1] == full_report(net, c).totals["injective"]
+            report = full_report(net, c)
+            assert report.combined_per_l[net.depth][1] == report.totals["injective"]
 
     def test_best_no_worse_than_endpoints(self):
         rng = np.random.default_rng(5)
@@ -479,22 +454,18 @@ class TestCombined:
                 [rng.standard_normal((3, 3)), rng.standard_normal((5, 3))]
             )
             c = constants_for(net)
-            l_star, best, per_l = bound_combined_best(net, c)
-            assert best <= bound_combined(net, c, 0) + 1e-12
-            assert best <= bound_combined(net, c, net.depth) + 1e-12
-            assert per_l[l_star][1] == best
+            report = full_report(net, c)
+            per_l, best = report.combined_per_l, report.totals["combined"]
+            assert best <= per_l[0][1] + 1e-12
+            assert best <= per_l[net.depth][1] + 1e-12
+            assert per_l[report.combined_l_star][1] == best
 
     def test_infeasible_prefix_reports_largest_l(self):
         net = simple_net([np.diag([1.0, 0.0]), np.ones((3, 2))])
-        c = constants_for(net)
-        with pytest.raises(VariantInapplicable) as err:
-            bound_combined(net, c, 1)
-        assert err.value.largest_feasible_l == 0
-
-    def test_l_out_of_range(self):
-        net = self._net()
-        with pytest.raises(InvalidParameterError):
-            bound_combined(net, constants_for(net), 3)
+        report = full_report(net, constants_for(net))
+        assert report.combined_per_l[1][1] is None
+        assert report.combined_l_star == 0
+        assert report.inapplicable["injective"].startswith("layer 1")
 
     def test_reasons_and_prefix_name_the_first_failing_layer(self):
         # layer 1 is tall with full rank, layer 2 square and singular

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,7 +23,7 @@ from koopbound.matcore import RankDeficientError
 from koopbound.network import (
     CustomActivation, GaussianHead, LayerSpec, NetworkSpec, SmoothLeakyRelu, SoftmaxHead,
 )
-from koopbound.svgplot import pearson
+from koopbound.svgplot import pearson, scatter_svg
 from koopbound.trainer import build_network
 
 
@@ -833,6 +834,13 @@ class TestSvgArtifact:
         assert "circle" in svg
         assert "date" not in svg.lower() and "time" not in svg.lower()
         capsys.readouterr()
+
+    def test_axis_labels_stay_short_near_float64_limit(self):
+        # a digits sweep plots matrix_factor values of this size on the x axis
+        svg = scatter_svg([4.2e117, 4.1e169], [0.1, 0.3], shades=[0.0, 1.0])
+        bodies = re.findall(r">([^<]*)</text>", svg)
+        assert len(bodies) == 6
+        assert all(len(body) <= 12 for body in bodies)
 
 
 class TestPearson:

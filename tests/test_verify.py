@@ -2,11 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from koopbound import verify
+from koopbound.bounds import density_ratio_bound
+from koopbound.matcore import InvalidParameterError, operator_norm
 from koopbound.verify import (
     SUITES,
+    density_ratio_grid_sup,
     run_suites,
     suite_dominance,
     suite_gradients,
@@ -39,6 +43,28 @@ class TestLemma1Suite:
         failing = [c for c in verdict["checks"] if not c["passed"]]
         assert failing
         assert any("grid sup" in c["name"] or "dominates" in c["name"] for c in failing)
+
+
+class TestDensityRatio:
+    def test_grid_sup_never_exceeds_closed_form(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            d = int(rng.integers(2, 5))
+            w = rng.standard_normal((d, d))
+            s = (d + 0.1) / 2.0
+            assert density_ratio_grid_sup(w, s, s) <= density_ratio_bound(w, s) + 1e-9
+
+    def test_grid_sup_tight_for_expanding_maps(self):
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            w = rng.standard_normal((3, 3))
+            w *= 3.0 / operator_norm(w)
+            s = 1.55
+            assert density_ratio_grid_sup(w, s, s) >= 0.99 * density_ratio_bound(w, s)
+
+    def test_grid_requires_compatible_orders(self):
+        with pytest.raises(InvalidParameterError):
+            density_ratio_grid_sup(np.eye(2), 2.0, 1.5)
 
 
 class TestKernelsSuite:
