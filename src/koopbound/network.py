@@ -27,23 +27,58 @@ class ValidationError(Exception):
 
 
 def _smooth_leaky_relu(x, alpha: float, mu: float, with_derivative: bool):
-    """(sigma(x), sigma'(x) or None), both from one erf(u), u = mu (1-a) x."""
+    """(sigma(x), sigma'(x) or None), both from one erf(u), u = mu (1-a) x.
+
+    Every step runs in place on fresh buffers (the erf buffer e and one
+    work buffer w), in the order of the expressions
+    sigma = 0.5 ((1+a) x + ((1-a) x) e) and
+    sigma' = 0.5 ((1+a) + (1-a) (e + ((x beta) k) e^{-u u})), k = 2/sqrt(pi),
+    so the bits are those of the allocating expressions.  x is never written.
+    """
     from scipy.special import erf  # deferred; see the module docstring
 
     x = np.asarray(x, dtype=float)
     beta = mu * (1.0 - alpha)
-    e = erf(beta * x)
-    value = 0.5 * ((1.0 + alpha) * x + (1.0 - alpha) * x * e)
+    e, w = np.empty_like(x), np.empty_like(x)
+    erf(np.multiply(beta, x, out=e), out=e)
+    value = np.multiply(1.0 - alpha, x, out=np.empty_like(x))
+    value *= e
+    value += np.multiply(1.0 + alpha, x, out=w)
+    value *= 0.5
     if not with_derivative:
         return value, None
     # u is formed again, not kept from the erf call: holding it through the
     # value expression doubled the value's time on the (500, 2, 20) MC stacks
-    u = beta * x
+    u = np.multiply(beta, x, out=w)
     # product rule, with (d/du) erf(u) = 2 e^{-u^2} / sqrt(pi)
-    return value, 0.5 * (
-        (1.0 + alpha)
-        + (1.0 - alpha) * (e + x * beta * (2.0 / math.sqrt(math.pi)) * np.exp(-u * u))
-    )
+    gauss = np.negative(u, out=np.empty_like(x))
+    gauss *= u
+    np.exp(gauss, out=gauss)
+    w *= 2.0 / math.sqrt(math.pi)
+    w *= gauss
+    w += e
+    w *= 1.0 - alpha
+    w += 1.0 + alpha
+    w *= 0.5
+    return value, w
+
+
+def _row_sum(t: np.ndarray) -> np.ndarray:
+    """np.sum(t, axis=1), bit for bit.  Below 8 columns np.sum adds them in
+    order, so this adds one column at a time, which is much faster on
+    narrow rows than np.sum's per-row reduction; from 8 on it is np.sum."""
+    if t.shape[1] >= 8:
+        return np.sum(t, axis=1)
+    s = t[:, 0].copy()
+    for k in range(1, t.shape[1]):
+        s += t[:, k]
+    return s
+
+
+def _gaussian_head(c: float, z: np.ndarray) -> np.ndarray:
+    """The Gaussian head exp(-c ||z||^2), the norm taken over axis 1: (n, w)
+    rows in the trainer, (count, w, n) stacks in the MC forward pass."""
+    return np.exp(-c * _row_sum(z * z))
 
 
 # sigma'(x) of the smooth leaky ReLU is extremal at x = +-1/(mu (1 - alpha)),

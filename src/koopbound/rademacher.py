@@ -15,6 +15,7 @@ import numpy as np
 
 from . import bounds
 from .network import GaussianHead, Identity, LayerSpec, NetworkSpec, SmoothLeakyRelu
+from .network import _gaussian_head, _row_sum
 
 
 class InfeasibleClassError(Exception):
@@ -60,6 +61,9 @@ class FunctionClassSpec:
 
 REJECTION_CAP = 100_000
 
+# np.triu_indices(rows, 1) per row count, filled on first use
+_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
 
 def _sigma1_and_volume(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigma_1 and the volume det(W^T W)^(1/2) of each matrix of a stack.
@@ -72,9 +76,12 @@ def _sigma1_and_volume(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Cauchy-Binet: vol^2 is the sum of the squared 2x2 minors, and
     # sigma_1^2 is the larger root of t^2 - ||W||_F^2 t + vol^2
     a, b = ws[:, :, 0], ws[:, :, 1]
-    i, j = np.triu_indices(ws.shape[1], 1)
-    vol_sq = np.sum((a[:, i] * b[:, j] - a[:, j] * b[:, i]) ** 2, axis=1)
-    fro_sq = np.sum(a * a + b * b, axis=1)
+    rows = ws.shape[1]
+    if rows not in _PAIRS:
+        _PAIRS[rows] = np.triu_indices(rows, 1)
+    i, j = _PAIRS[rows]
+    vol_sq = _row_sum((a[:, i] * b[:, j] - a[:, j] * b[:, i]) ** 2)
+    fro_sq = _row_sum(a * a + b * b)
     gap = np.sqrt(np.maximum(fro_sq * fro_sq - 4.0 * vol_sq, 0.0))
     return np.sqrt(0.5 * (fro_sq + gap)), np.sqrt(vol_sq)
 
@@ -85,7 +92,11 @@ def _sample_weights(
     """Rejection sampling: Gaussian, projected to the norm ball, volume filtered.
 
     sigma_1 and the volume come from a closed form for two columns and
-    from one batched SVD (sigma_1 = s_0, volume = prod s) otherwise.
+    from one batched SVD (sigma_1 = s_0, volume = prod s) otherwise.  The
+    volume filter runs on the unscaled batch (the scaled volume is
+    vol * scale^cols), and only the first `need` survivors are scaled:
+    each kept entry gets the same single multiply as when the whole
+    batch was scaled first.
     """
     accepted = []
     attempts = 0
@@ -100,20 +111,25 @@ def _sample_weights(
         ws = rng.standard_normal((batch, rows, cols))
         sigma1, vol = _sigma1_and_volume(ws)
         scale = np.minimum(1.0, C / sigma1)
-        ws *= scale[:, None, None]
-        good = ws[vol * scale ** cols >= D]
-        if good.shape[0] > 0:
-            accepted.append(good[:need])
-            need -= min(need, good.shape[0])
+        keep = np.flatnonzero(vol * scale ** cols >= D)[:need]
+        if keep.size > 0:
+            good = ws[keep]
+            good *= scale[keep, None, None]
+            accepted.append(good)
+            need -= keep.size
     return np.concatenate(accepted, axis=0)
 
 
 def _sample_bias(rng: np.random.Generator, dim: int, radius: float, count: int):
-    """Uniform in the radius ball (direction on the sphere, radius ~ r^(1/d))."""
+    """Uniform in the radius ball (direction on the sphere, radius ~ r^(1/d)).
+
+    The direction's norm is np.linalg.norm's, sqrt of np.sum over the
+    squared row, bit for bit (`_row_sum`).
+    """
     g = rng.standard_normal((count, dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = radius * rng.random(count) ** (1.0 / dim)
-    return g * r[:, None]
+    g /= np.sqrt(_row_sum(g * g))[:, None]
+    g *= (radius * rng.random(count) ** (1.0 / dim))[:, None]
+    return g
 
 
 def sample_networks(
@@ -134,9 +150,9 @@ def evaluate_networks(params, points: np.ndarray):
 
     Activations are kept as (count, width, n).  Every member takes the
     same points, so the first layer is one GEMM over the whole stack;
-    later layers are one batched matmul each.  The head's squared norm
-    adds the output rows one at a time, which for widths below 8 is the
-    order np.sum uses.
+    later layers are one batched matmul each.  The head is the trainer's
+    kernel (`network._gaussian_head`), its squared norm taken over the
+    width axis.
     """
     x = np.asarray(points, dtype=float)
     ws, bs = params[0]
@@ -146,10 +162,7 @@ def evaluate_networks(params, points: np.ndarray):
     for ws, bs in params[1:]:
         z = ws @ ACTIVATION.value(z)
         z += bs[:, :, None]
-    sq = z[:, 0] * z[:, 0]
-    for k in range(1, z.shape[1]):
-        sq += z[:, k] * z[:, k]
-    return np.exp(-HEAD.c * sq)
+    return _gaussian_head(HEAD.c, z)
 
 
 def _draw_seed(seed: int, draw: int) -> np.random.Generator:
@@ -174,6 +187,11 @@ def empirical_rademacher_lower(
     if draws < 1 or candidates < 1:
         raise ValueError("draws and candidates must be >= 1")
     x = np.atleast_2d(np.asarray(points, dtype=float))
+    d = spec.widths[0]
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != d:
+        raise ValueError(f"points of shape {x.shape}: need n >= 1 rows of the input width {d}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"points of shape {x.shape} (input width {d}) must be finite")
     n = x.shape[0]
     total = 0.0
     for draw in range(draws):

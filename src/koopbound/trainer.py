@@ -32,6 +32,7 @@ from .network import (
     NetworkSpec,
     SmoothLeakyRelu,
     SoftmaxHead,
+    _gaussian_head,
     default_smoothness,
 )
 
@@ -71,7 +72,7 @@ def _forward_cache(net: NetworkSpec, X: np.ndarray, with_derivatives: bool = Fal
 def _head_output(head, z: np.ndarray) -> np.ndarray:
     """Gaussian head: exp(-c ||z||^2) per row.  Softmax head: one probability row per row."""
     if isinstance(head, GaussianHead):
-        return np.exp(-head.c * np.sum(z * z, axis=1))
+        return _gaussian_head(head.c, z)
     if isinstance(head, SoftmaxHead):
         e = np.exp(z - np.max(z, axis=1, keepdims=True))
         return e / np.sum(e, axis=1, keepdims=True)

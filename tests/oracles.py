@@ -12,6 +12,10 @@ per-draw seed rule, so it draws the sign vectors that
 `empirical_rademacher_lower` draws for the same seed), and `rkhs_ball_rademacher` is the closed form for the radius-ball of
 the Sobolev RKHS next to its B / sqrt(n) bound.
 
+`smooth_leaky_relu_reference` is the activation and its derivative as
+plain allocating numpy expressions, which the in-place kernel must match
+bit for bit.
+
 `gen_error_estimate` and `classification_accuracy` evaluate a network
 after training, from the trainer's forward pass and loss: the reference
 for the per-epoch evaluation `train` runs inline.
@@ -134,6 +138,22 @@ def forward_reference(weights, biases, alpha, mu, x, c_gauss=1.0):
                 out[i] = ((1.0 + alpha) * v + (1.0 - alpha) * v * e) / 2.0
             z = out
     return math.exp(-c_gauss * float(np.dot(z, z)))
+
+
+def smooth_leaky_relu_reference(x, alpha: float, mu: float):
+    """(sigma(x), sigma'(x)) of the smooth leaky ReLU, one allocating numpy
+    expression per quantity, in the operation order the library keeps."""
+    from scipy.special import erf
+
+    x = np.asarray(x, dtype=float)
+    beta = mu * (1.0 - alpha)
+    e = erf(beta * x)
+    value = 0.5 * ((1.0 + alpha) * x + (1.0 - alpha) * x * e)
+    u = beta * x
+    return value, 0.5 * (
+        (1.0 + alpha)
+        + (1.0 - alpha) * (e + x * beta * (2.0 / math.sqrt(math.pi)) * np.exp(-u * u))
+    )
 
 
 def gram_schmidt_projector(columns) -> np.ndarray:

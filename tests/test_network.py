@@ -1,9 +1,11 @@
-"""Structural validation of the network description."""
+"""Structural validation of the network description, and the bits of its
+numeric kernels."""
 
 import numpy as np
+import oracles
 import pytest
 
-from koopbound import matcore
+from koopbound import matcore, network
 from koopbound.network import (
     CustomActivation,
     CustomHead,
@@ -111,3 +113,58 @@ class TestNetworkValidation:
             input_dim=3, layers=[layer(3, 3, s=1.6), layer(6, 3, s=3.05)],
         )
         assert net.smoothness_chain() == [pytest.approx(1.55), 1.6, 3.05]
+
+
+# random values, signed zeros, the float64 extremes and subnormals
+ACTIVATION_INPUTS = np.concatenate([
+    4.0 * np.random.default_rng(0).standard_normal(300),
+    [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 1e-310, -2.5e-309],
+])
+
+
+class TestActivationBits:
+    """The activation equals the allocating reference expression bit for bit."""
+
+    @pytest.mark.parametrize("alpha,mu", [(0.5, 0.5), (0.1, 3.0), (0.9, 0.01)])
+    def test_value_and_derivative_match_reference(self, alpha, mu):
+        act = SmoothLeakyRelu(alpha=alpha, mu=mu)
+        with np.errstate(over="ignore"):  # u * u is inf at +-1e300, exp(-u * u) 0
+            want_value, want_deriv = oracles.smooth_leaky_relu_reference(
+                ACTIVATION_INPUTS, alpha, mu
+            )
+            value, deriv = act.value_and_derivative(ACTIVATION_INPUTS)
+        assert value.tobytes() == want_value.tobytes()
+        assert deriv.tobytes() == want_deriv.tobytes()
+        assert act.value(ACTIVATION_INPUTS).tobytes() == want_value.tobytes()
+
+    def test_stacked_and_strided_layouts(self):
+        act = SmoothLeakyRelu()
+        z = np.random.default_rng(1).standard_normal((50, 2, 20))
+        for x in (z, z.transpose(2, 0, 1), z[:, 1]):
+            want_value, want_deriv = oracles.smooth_leaky_relu_reference(x, act.alpha, act.mu)
+            value, deriv = act.value_and_derivative(x)
+            assert value.shape == x.shape and deriv.shape == x.shape
+            assert np.array_equal(value.view(np.uint64), want_value.view(np.uint64))
+            assert np.array_equal(deriv.view(np.uint64), want_deriv.view(np.uint64))
+
+    def test_input_left_unmodified(self):
+        act = SmoothLeakyRelu()
+        x = ACTIVATION_INPUTS.copy()
+        act.value(x)
+        with np.errstate(over="ignore"):
+            act.value_and_derivative(x)
+        assert x.tobytes() == ACTIVATION_INPUTS.tobytes()
+
+
+class TestGaussianHeadKernel:
+    """exp(-c ||z||^2) over axis 1 equals the np.sum expression bit for bit."""
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_matches_np_sum(self, width):
+        rng = np.random.default_rng(width)
+        c = 0.7
+        for z in (rng.standard_normal((257, width)), rng.standard_normal((9, width, 31))):
+            want = np.exp(-c * np.sum(z * z, axis=1))
+            got = network._gaussian_head(c, z)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

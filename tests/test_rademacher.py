@@ -1,5 +1,6 @@
 """Monte-Carlo complexity estimators and the closed-form class bound."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -200,6 +201,60 @@ class TestEstimators:
         spec = FunctionClassSpec(widths=(2, 2), constraint="inv", C=1.5, D=0.5)
         with pytest.raises(ValueError):
             empirical_rademacher_lower(np.ones((3, 2)), spec, draws=0)
+
+    def test_zero_points_named(self):
+        spec = FunctionClassSpec(widths=(2, 2), constraint="inv", C=1.5, D=0.5)
+        with pytest.raises(ValueError, match=r"shape \(0, 2\).*width 2"):
+            empirical_rademacher_lower(np.empty((0, 2)), spec, draws=2, candidates=5)
+
+    def test_wrong_width_named(self):
+        spec = FunctionClassSpec(widths=(2, 2), constraint="inv", C=1.5, D=0.5)
+        with pytest.raises(ValueError, match=r"shape \(4, 3\).*width 2"):
+            empirical_rademacher_lower(np.ones((4, 3)), spec, draws=2, candidates=5)
+
+    def test_nan_point_named(self):
+        spec = FunctionClassSpec(widths=(2, 2), constraint="inv", C=1.5, D=0.5)
+        pts = np.ones((4, 2))
+        pts[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"shape \(4, 2\).*finite"):
+            empirical_rademacher_lower(pts, spec, draws=2, candidates=5)
+
+
+class TestPinnedEstimates:
+    """Estimates and sampled members pinned to the bit: the sampler, the
+    stacked forward pass and the activation may change how they compute,
+    never what."""
+
+    @pytest.mark.parametrize("widths,want", [
+        pytest.param((2, 2), "0x1.57357daab8a44p-3", id="2-2"),
+        pytest.param((2, 2, 2), "0x1.aafcc12c57befp-3", id="2-2-2"),
+        pytest.param((3, 3), "0x1.055705fb0895fp-3", id="3-3"),
+    ])
+    def test_estimate_matches_pin(self, widths, want):
+        spec = FunctionClassSpec(widths=widths, constraint="inv", C=1.5, D=0.5)
+        pts = np.random.default_rng(21).standard_normal((12, widths[0]))
+        got = empirical_rademacher_lower(pts, spec, draws=8, candidates=100, seed=3)
+        assert got.hex() == want
+
+    def test_sampled_members_match_pin(self):
+        # an estimate can absorb a 1-ulp change in one weight; the members'
+        # bytes cannot.  Two columns: no LAPACK call, so the pin is portable.
+        spec = FunctionClassSpec(widths=(2, 2, 2), constraint="inv", C=1.5, D=0.5)
+        digest = hashlib.sha256()
+        for ws, bs in sample_networks(spec, np.random.default_rng(3), 500):
+            digest.update(ws.tobytes())
+            digest.update(bs.tobytes())
+        assert digest.hexdigest()[:32] == "fe4b279c92f641d26445be465a4460f7"
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 11])
+    def test_bias_directions_match_linalg_norm(self, dim):
+        got = rademacher._sample_bias(np.random.default_rng(dim), dim, 0.8, 301)
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((301, dim))
+        want = g / np.linalg.norm(g, axis=1, keepdims=True)
+        want = want * (0.8 * rng.random(301) ** (1.0 / dim))[:, None]
+        assert got.shape == (301, dim)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRkhsBall:
