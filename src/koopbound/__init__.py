@@ -7,11 +7,8 @@ from .matcore import (
     NotFiniteError,
     RankDeficientError,
     singular_values,
-    operator_norm,
     rank_tolerance,
     pq_norm,
-    gram_logdet,
-    restricted_det,
 )
 from .kernels import (
     KernelDivergenceError,

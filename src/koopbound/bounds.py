@@ -29,16 +29,16 @@ their natural logs, read from the spectrum's log-determinants:
 ||W||^s and det(W^T W)^(1/4) each grow like sigma^width, and only their
 ratio is formed, so a (scaled-)orthogonal layer contributes log 1 = 0
 whatever its width.  A variant's total is exp(log prefactor + sum of its
-per-layer logs), exponentiated once; the report's per-layer factors are
-the exponentials of the table's entries.  A None entry marks a layer that
+per-layer logs), exponentiated once; each report row is built in the same
+loop as the logs it exponentiates.  A None entry marks a layer that
 fails the variant's precondition, and `full_report` reads every decision
 from these entries: a per-layer variant is inapplicable at its first
 failing layer, whose reason (`_why_inapplicable`) names that layer, and
 the combined bound's Koopman prefix ends there in the injective column.
 `_COMPETITORS` is the one list of competitor bounds; `ALL_VARIANTS` is
 built from it.  A report row also holds the layer's stable rank and its
-constants-free injective factor (`koopman_factor`, the table's log
-Koopman factor), which the training spectrum log and `inspect` print.
+constants-free injective factor (`koopman_factor`), which the training
+spectrum log and `inspect` print.
 The activation constant ||K_sigma|| comes from the closed-form extremes
 of the activation's derivative.
 """
@@ -49,19 +49,17 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .kernels import gaussian_head_norm, kernel_trace_bound
-from .matcore import (  # gram_logdet, LayerSpectrum, operator_norm, restricted_det: re-exported
+from .matcore import (  # LayerSpectrum: re-exported
     InvalidParameterError,
     LayerSpectrum,
-    gram_logdet,
     log1p_square,
-    operator_norm,
     pq_norm,
-    restricted_det,
 )
 from .network import (
     CustomActivation,
@@ -96,6 +94,10 @@ class BoundConstants:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameterError(f"sample count n must be >= 1, got {self.n}")
+        if self.n > sys.float_info.max:  # sqrt(n) enters the prefactor
+            raise InvalidParameterError(
+                f"sample count n exceeds float64's range ({sys.float_info.max:.6g})"
+            )
         vals = [self.B, self.g_norm, *self.sigma_norms, *(self.g_factors or ())]
         if any(not (0 < v < math.inf) for v in vals):
             raise InvalidParameterError(
@@ -138,14 +140,6 @@ def density_ratio_bound(layer, s_prev: float) -> float:
     return _exp_or_inf(2.0 * _log_norm_power(_spectrum(layer), s_prev))
 
 
-def _log_koopman_factor(spec: LayerSpectrum, s_prev: float) -> float | None:
-    """log(max{1, ||W||^s_prev} / det(W^T W)^(1/4)), without constants; None
-    where the layer fails the injective precondition (`_why_inapplicable`)."""
-    if _why_inapplicable(spec, "injective"):
-        return None
-    return _log_norm_power(spec, s_prev) - spec.gram_logdet / 4.0
-
-
 def koopman_layer_factor(layer, s_prev: float) -> float:
     """max{1, ||W||^s_prev} / det(W^T W)^(1/4); equals 1 for orthogonal W.
 
@@ -156,8 +150,7 @@ def koopman_layer_factor(layer, s_prev: float) -> float:
     OverflowError when the factor exceeds float64.
     """
     spec = _spectrum(layer)
-    spec.require_gram_logdet()
-    return math.exp(_log_koopman_factor(spec, s_prev))
+    return math.exp(_log_norm_power(spec, s_prev) - spec.require_gram_logdet() / 4.0)
 
 
 def g_factor_gaussian(w, c_gauss: float) -> float:
@@ -219,29 +212,30 @@ def _why_inapplicable(spec: LayerSpectrum, variant: str) -> str | None:
 
 def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants, g_factors):
     """Per layer, the natural log of each per-layer Koopman variant's factor;
-    the natural log of the constants-free spectral product; and per layer,
-    the log of the constants-free Koopman factor (`_log_koopman_factor`).
+    per layer, the report row (`LayerRecord`) read from those logs; and the
+    natural log of the constants-free spectral product.
 
     s_chain is the smoothness chain: s_chain[j] is the smoothness of layer
     j's input space, s_chain[j + 1] of its output.  The factors include the
     layer's isotropy factor G (`g_factors`) and activation norm ||K_sigma||
     from `c`.  None marks a variant whose precondition the layer fails
-    (`_why_inapplicable`), and a layer without a Koopman factor.  The
+    (`_why_inapplicable`).  A row's `koopman_factor` is the constants-free
+    injective factor, None where the injective precondition fails.  The
     spectral product is prod_j ||W_j||^s_(j+1) / (prod of W_j's singular
     values)^(1/2), with each layer's own smoothness and no max{1, .}; its
     log is None when a layer is numerically rank deficient (rank below
     min(rows, cols)).
     """
-    table, log_koopman = [], []
+    table, layers = [], []
     log_matrix = 0.0
-    for spec, s, s_out, g, sig in zip(
+    for j, (spec, s, s_out, g, sig) in enumerate(zip(
         spectra, s_chain, s_chain[1:], g_factors, c.sigma_norms
-    ):
+    )):
         log_g, log_sig = math.log(g), math.log(sig)
         log_lift = _log_norm_power(spec, s)  # log max{1, ||W||^s}
-        koop = _log_koopman_factor(spec, s)  # not None wherever invertible applies
-        log_koopman.append(koop)
-        table.append({
+        # the constants-free Koopman factor; not None wherever invertible applies
+        koop = None if spec.gram_logdet is None else log_lift - spec.gram_logdet / 4.0
+        row = {
             "invertible": None if _why_inapplicable(spec, "invertible") else koop + log_sig,
             "injective": None if koop is None else koop + log_sig + log_g,
             "graph": (
@@ -249,7 +243,25 @@ def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants, g_fa
                 + log_g + log_sig
             ),
             "weighted": log_lift - spec.restricted_logdet / 2.0 + log_g + log_sig,
-        })
+        }
+        table.append(row)
+        layers.append(LayerRecord(
+            index=j + 1,
+            rows=spec.rows,
+            cols=spec.cols,
+            singular_values=[float(x) for x in spec.sigma],
+            condition_number=spec.condition_number,
+            density_ratio_bound=_exp_or_inf(2.0 * log_lift),
+            det_factor=None if koop is None else _exp_or_inf(spec.gram_logdet / 4.0),
+            numeric_rank=spec.restricted_rank,
+            # the tightest variant the layer meets; graph (like weighted) always applies
+            variant_choice=next(
+                (tag for tag in ("invertible", "injective") if row[tag] is not None), "graph"
+            ),
+            factors={k: None if v is None else math.exp(v) for k, v in row.items()},
+            stable_rank=None if spec.op_norm == 0.0 else spec.stable_rank,
+            koopman_factor=None if koop is None else _exp_or_inf(koop),
+        ))
         if log_matrix is None:
             continue
         if spec.rank < min(spec.rows, spec.cols):
@@ -257,7 +269,7 @@ def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants, g_fa
         else:
             log_sigma_sum = float(np.sum(np.log(spec.sigma)))
             log_matrix += s_out * math.log(spec.op_norm) - 0.5 * log_sigma_sum
-    return table, log_matrix, log_koopman
+    return table, layers, log_matrix
 
 
 def _total(c: BoundConstants, log_factors) -> float:
@@ -488,7 +500,7 @@ def full_report(net: NetworkSpec, c: BoundConstants) -> BoundReport:
         raise InvalidParameterError(
             "sigma_norms and g_factors must have one entry per layer"
         )
-    table, log_matrix, log_koopman = _factor_table(spectra, s_chain, c, g_factors)
+    table, layers, log_matrix = _factor_table(spectra, s_chain, c, g_factors)
     totals: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
     # per per-layer variant (a table column): its first layer with a None entry, else the depth
@@ -516,29 +528,6 @@ def full_report(net: NetworkSpec, c: BoundConstants) -> BoundReport:
             totals[name] = competitor(net, spectra, c.n)
         except VariantInapplicable as exc:
             inapplicable[name] = str(exc)
-
-    layers = [
-        LayerRecord(
-            index=j + 1,
-            rows=spec.rows,
-            cols=spec.cols,
-            singular_values=[float(x) for x in spec.sigma],
-            condition_number=spec.condition_number,
-            density_ratio_bound=density_ratio_bound(spec, s_chain[j]),
-            det_factor=(
-                None if spec.gram_logdet is None else _exp_or_inf(spec.gram_logdet / 4.0)
-            ),
-            numeric_rank=spec.restricted_rank,
-            # the tightest variant the layer meets; graph (like weighted) always applies
-            variant_choice=next(
-                (tag for tag in ("invertible", "injective") if row[tag] is not None), "graph"
-            ),
-            factors={k: None if v is None else math.exp(v) for k, v in row.items()},
-            stable_rank=None if spec.op_norm == 0.0 else spec.stable_rank,
-            koopman_factor=None if log_koopman[j] is None else _exp_or_inf(log_koopman[j]),
-        )
-        for j, (spec, row) in enumerate(zip(spectra, table))
-    ]
     flags = [*c.notes, *g_notes, "graph total is modulo the lifted-head psi-norm"]
     return BoundReport(
         layers=layers,

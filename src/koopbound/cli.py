@@ -102,8 +102,10 @@ def _report_errors():
 
 def cmd_inspect(args) -> int:
     net = _load_network(args.weightfile)
+    # the table needs no bound constants, so unit ones stand in for B, ||g|| and ||K_sigma||
+    c = bounds_mod.default_constants(net, 1, B=1.0, g_norm=1.0, sigma_norms=[1.0] * net.depth)
     with _report_errors():  # snapshot raises OverflowError for a Koopman factor of +inf
-        report = bounds_mod.full_report(net, bounds_mod.default_constants(net, 1))
+        report = bounds_mod.full_report(net, c)
         rows = diagnostics.snapshot(report, 0).layers
     print(f"{'layer':>5} {'sigma_max':>12} {'sigma_min':>12} {'cond':>12} {'stable_rank':>12} {'koopman':>12}")
     lines = ["layer,sigma_max,sigma_min,cond,stable_rank,koopman_factor"]

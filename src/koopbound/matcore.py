@@ -1,9 +1,9 @@
 """Dense real linear algebra on weight matrices.
 
 The bound variants, the diagnostics and the CLI read every per-layer
-spectral quantity from this module, so its conventions are load
-bearing: each quantity comes from a matrix's singular values alone,
-and determinants are always assembled from them in log space.
+spectral quantity from one record, `LayerSpectrum`, so its conventions
+are load bearing: each quantity comes from a matrix's singular values
+alone, and determinants are always assembled from them in log space.
 """
 
 from __future__ import annotations
@@ -70,17 +70,13 @@ def singular_values(m) -> np.ndarray:
         ) from exc
 
 
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    return LayerSpectrum.of(m).op_norm
-
-
 def rank_tolerance(sigma_max: float, rows: int, cols: int) -> float:
     """Relative rank cutoff: 1e-8 * sigma_1 * max(rows, cols)."""
     return 1e-8 * sigma_max * max(rows, cols)
 
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # above it x^2 overflows
+_RESTRICTED_CUTOFF = 1e-8  # LayerSpectrum.restricted_*'s absolute cutoff
 
 
 def log1p_square(x):
@@ -113,34 +109,17 @@ def pq_norm(m, p: float, q: float) -> float:
     return float(total ** (1.0 / q))
 
 
-def gram_logdet(m) -> float:
-    """log det(M^T M) = 2 * sum(log sigma_i), for full-column-rank M.
-
-    Computed entirely in log space so deep products of factors never
-    overflow or underflow.
-    """
-    return LayerSpectrum.of(m).require_gram_logdet()
-
-
-def restricted_det(m, tol: float) -> tuple[float, int]:
-    """Product of the singular values strictly above tol, with their count.
-
-    This is the determinant of M restricted to the orthogonal complement
-    of its kernel.  The empty product (zero matrix) is 1.
-    """
-    spec = LayerSpectrum.of(m, tol)
-    return math.exp(spec.restricted_logdet), spec.restricted_rank
-
-
 @dataclass(frozen=True)
 class LayerSpectrum:
     """A weight matrix's singular values and every quantity derived from them.
 
-    Built by `LayerSpectrum.of` from one SVD; the helpers above, the
-    bounds and the diagnostics all read their rank, determinants, norms,
-    condition number and stable rank from it.  The rank cutoff `tol` is
-    the relative `rank_tolerance`; `restricted_*` keep the singular values
-    above the absolute `weighted_tol` instead.
+    Built by `LayerSpectrum.of` from one SVD, it is the one way to ask
+    for a per-layer spectral fact: the bounds, the diagnostics and the CLI
+    read their rank, log-determinants, norms, condition number and stable
+    rank from it.  `restricted_logdet` is the log-determinant of W on the
+    orthogonal complement of its kernel, 0 for the zero matrix.  The rank
+    cutoff `tol` is the relative `rank_tolerance`; `restricted_*` keep the
+    singular values above the absolute `_RESTRICTED_CUTOFF` instead.
     """
 
     rows: int
@@ -150,24 +129,20 @@ class LayerSpectrum:
     rank: int  # singular values above tol
     gram_logdet: float | None  # log det(W^T W); None when wide or rank deficient
     lifted_logdet: float  # log det(I + W^T W)
-    restricted_logdet: float  # log of the product of singular values above weighted_tol
+    restricted_logdet: float  # log of the product of singular values above the cutoff
     restricted_rank: int
     op_norm: float
     fro_norm: float
 
     @classmethod
-    def of(cls, w, weighted_tol: float = 1e-8) -> "LayerSpectrum":
-        if weighted_tol <= 0:
-            raise InvalidParameterError(
-                f"restricted determinant needs tol > 0, got {weighted_tol}"
-            )
+    def of(cls, w) -> "LayerSpectrum":
         a = as_matrix(w)
         rows, cols = a.shape
         s = singular_values(a)
         s.setflags(write=False)
         tol = rank_tolerance(float(s[0]), rows, cols)
         rank = int(np.sum(s > tol))
-        kept = s[s > weighted_tol]
+        kept = s[s > _RESTRICTED_CUTOFF]
         return cls(
             rows=rows,
             cols=cols,

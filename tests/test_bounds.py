@@ -99,21 +99,26 @@ class TestKoopmanLayerFactor:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         w = 0.5 * q
         s = 1.55
-        expected = 1.0 / math.exp(bm.gram_logdet(w) / 4.0)
+        expected = 1.0 / np.linalg.det(w.T @ w) ** 0.25
         assert koopman_layer_factor(w, s) == pytest.approx(expected)
 
     def test_equals_report_row(self):
         # tall, square and wide layers: the report row holds the same
-        # expression as koopman_layer_factor, bit for bit, and None for a wide layer
+        # expressions as koopman_layer_factor and density_ratio_bound, bit for
+        # bit, and None for a wide layer
         for net in (trainer.build_network([3, 3, 6], GaussianHead(), seed=5), _digits_shape_net()):
             report = full_report(net, default_constants(net, 10))
             s_chain = net.smoothness_chain()
             for j, (row, layer) in enumerate(zip(report.layers, net.layers)):
                 w = layer.weight
+                spec = LayerSpectrum.of(w)
+                assert row.density_ratio_bound == density_ratio_bound(w, s_chain[j])
                 if w.shape[0] < w.shape[1]:
                     assert row.koopman_factor is None
+                    assert row.det_factor is None
                 else:
                     assert row.koopman_factor == koopman_layer_factor(w, s_chain[j])
+                    assert row.det_factor == math.exp(spec.gram_logdet / 4.0)
 
     def test_report_row_beyond_float64_is_inf(self):
         # 1e-150 * I: 1 / det(W^T W)^(1/4) = e^1036; the activation norm
@@ -206,23 +211,24 @@ class TestLayerSpectrum:
 
     @pytest.mark.parametrize("w", MATRICES)
     def test_fields_match_matcore(self, w):
+        # each field against numpy: its SVD, rank, determinants and products
         spec = LayerSpectrum.of(w)
-        assert spec.op_norm == matcore.operator_norm(w)
-        assert spec.fro_norm == matcore.pq_norm(w, 2, 2)
         sv = np.linalg.svd(w, compute_uv=False)
-        assert spec.rank == np.linalg.matrix_rank(w, tol=matcore.rank_tolerance(sv[0], *w.shape))
+        assert spec.op_norm == sv[0]
+        assert spec.fro_norm == matcore.pq_norm(w, 2, 2)
+        rank = np.linalg.matrix_rank(w, tol=matcore.rank_tolerance(sv[0], *w.shape))
+        assert spec.rank == rank
         assert spec.condition_number == (math.inf if sv[-1] == 0.0 else sv[0] / sv[-1])
-        rdet, rrank = matcore.restricted_det(w, 1e-8)
-        assert spec.restricted_rank == rrank
-        assert math.exp(spec.restricted_logdet) == pytest.approx(rdet, rel=1e-12)
+        kept = sv[sv > 1e-8]
+        assert spec.restricted_rank == kept.size
+        assert math.exp(spec.restricted_logdet) == pytest.approx(np.prod(kept), rel=1e-12)
         assert spec.lifted_logdet == pytest.approx(
             math.log(np.linalg.det(np.eye(w.shape[1]) + w.T @ w)), abs=1e-12
         )
-        try:
-            expected = matcore.gram_logdet(w)
-        except (RankDeficientError, matcore.ShapeError):
-            expected = None
-        assert spec.gram_logdet == expected
+        if rank < w.shape[1]:
+            assert spec.gram_logdet is None
+        else:
+            assert spec.gram_logdet == pytest.approx(math.log(np.linalg.det(w.T @ w)), abs=1e-12)
 
     def test_factors_raise_like_matcore(self):
         with pytest.raises(matcore.ShapeError):
@@ -234,10 +240,6 @@ class TestLayerSpectrum:
     def test_sigma_is_read_only(self):
         with pytest.raises(ValueError):
             LayerSpectrum.of(np.eye(2)).sigma[0] = 5.0
-
-    def test_invalid_weighted_tol(self):
-        with pytest.raises(InvalidParameterError):
-            LayerSpectrum.of(np.eye(2), weighted_tol=0.0)
 
 
 @pytest.fixture

@@ -143,12 +143,16 @@ class TestUsageErrors:
         assert not (tmp_path / "run").exists()
 
     def test_activation_not_bi_lipschitz(self, tmp_path, capsys):
+        # inspect reads no activation norm (test_inspect_needs_no_bound_constants)
         act = SmoothLeakyRelu(alpha=0.1, mu=0.001)
         path = tmp_path / "net.json"
         weightio.save_weights(build_network([3, 3, 6], GaussianHead(), seed=0, activation=act), path)
-        for argv in (("bound", str(path), "--n", "10"), ("inspect", str(path))):
-            assert run_cli(*argv) == cli.EXIT_USAGE
-            assert "not bounded away from zero" in capsys.readouterr().err
+        assert run_cli("bound", str(path), "--n", "10") == cli.EXIT_USAGE
+        assert "not bounded away from zero" in capsys.readouterr().err
+
+    def test_sample_count_beyond_float64_is_named(self, weightfile, capsys):
+        assert run_cli("bound", weightfile, "--n", "9" * 400) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: sample count n ")
 
 
 # each edit leaves a malformed file that must end in exit 2, never a traceback
@@ -445,6 +449,22 @@ def test_overflowing_report_exits_2(tmp_path, capsys, command, edit, code):
         assert all(0.0 < v < math.inf for v in doc["totals"].values())
     else:
         assert "rank deficient" in out.splitlines()[2]
+
+
+@pytest.mark.parametrize("widths,head,activation", [
+    ([784, 128, 10], SoftmaxHead(), SmoothLeakyRelu()),  # B underflows
+    ([64, 1024, 10], SoftmaxHead(), SmoothLeakyRelu()),  # ||K_sigma|| overflows
+    ([3, 3, 6], GaussianHead(), SmoothLeakyRelu(alpha=0.1)),  # sigma' reaches 0
+], ids=["784-128-10", "64-1024-10", "alpha0.1"])
+def test_inspect_needs_no_bound_constants(tmp_path, capsys, widths, head, activation):
+    """inspect prints spectra and constants-free Koopman factors, so a net
+    whose bound constants leave float64 or do not exist still gets its table."""
+    net = build_network(widths, head, seed=0, init="orthogonal", activation=activation)
+    path = tmp_path / "net.json"
+    weightio.save_weights(net, path)
+    assert run_cli("inspect", str(path)) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["layer", *map(str, range(1, net.depth + 1))]
 
 
 def test_inspect_overflowing_koopman_factor_exits_2(tmp_path, capsys):

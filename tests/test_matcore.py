@@ -1,5 +1,4 @@
 import math
-import re
 import sys
 import warnings
 
@@ -16,12 +15,9 @@ from koopbound.matcore import (
     ShapeError,
     SvdConvergenceError,
     LayerSpectrum,
-    gram_logdet,
     log1p_square,
-    operator_norm,
     pq_norm,
     rank_tolerance,
-    restricted_det,
     singular_values,
 )
 
@@ -67,21 +63,22 @@ class TestSingularValues:
 
 class TestOperatorNorm:
     def test_diagonal(self):
-        assert operator_norm(np.diag([3.0, 1.0, 2.0])) == pytest.approx(3.0)
+        assert LayerSpectrum.of(np.diag([3.0, 1.0, 2.0])).op_norm == pytest.approx(3.0)
 
     def test_power_iteration_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             m = random_matrix(rng, 5, 3)
             ref = oracles.operator_norm_power_iteration(m)
-            assert operator_norm(m) == pytest.approx(ref, rel=1e-8)
+            assert LayerSpectrum.of(m).op_norm == pytest.approx(ref, rel=1e-8)
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_scaling_homogeneity(self, d, seed):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((d, d))
-        assert operator_norm(2.0 * m) == pytest.approx(2.0 * operator_norm(m))
+        op_norm = LayerSpectrum.of(m).op_norm
+        assert LayerSpectrum.of(2.0 * m).op_norm == pytest.approx(2.0 * op_norm)
 
 
 class TestPqNorm:
@@ -136,7 +133,7 @@ class TestLog1pSquare:
 
 class TestGramLogdet:
     def test_identity(self):
-        assert gram_logdet(np.eye(3)) == pytest.approx(0.0, abs=1e-12)
+        assert LayerSpectrum.of(np.eye(3)).require_gram_logdet() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_cofactor_oracle(self):
         rng = np.random.default_rng(6)
@@ -146,39 +143,36 @@ class TestGramLogdet:
             ref = abs(oracles.cofactor_det(m))
             if ref < 1e-8:
                 continue
-            assert math.exp(gram_logdet(m) / 2.0) == pytest.approx(ref, rel=1e-8)
+            logdet = LayerSpectrum.of(m).require_gram_logdet()
+            assert math.exp(logdet / 2.0) == pytest.approx(ref, rel=1e-8)
 
     def test_no_overflow_for_extreme_scales(self):
-        m = np.eye(4) * 1e150
-        assert gram_logdet(m) == pytest.approx(8 * math.log(1e150))
-        m = np.eye(4) * 1e-150
-        assert gram_logdet(m) == pytest.approx(-8 * math.log(1e150))
+        for scale, expected in ((1e150, 8 * math.log(1e150)), (1e-150, -8 * math.log(1e150))):
+            logdet = LayerSpectrum.of(np.eye(4) * scale).require_gram_logdet()
+            assert logdet == pytest.approx(expected)
 
     def test_rank_deficient_raises_with_sigma_min(self):
         m = np.diag([1.0, 0.0])
         with pytest.raises(RankDeficientError) as err:
-            gram_logdet(m)
+            LayerSpectrum.of(m).require_gram_logdet()
         assert err.value.sigma_min == pytest.approx(0.0)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ShapeError):
-            gram_logdet(np.ones((2, 3)))
+            LayerSpectrum.of(np.ones((2, 3))).require_gram_logdet()
 
 
 class TestRestrictedDet:
+    # the product of the singular values above the absolute cutoff 1e-8
     def test_zero_matrix_empty_product(self):
-        value, rank = restricted_det(np.zeros((3, 3)), 1e-8)
-        assert value == 1.0
-        assert rank == 0
+        spec = LayerSpectrum.of(np.zeros((3, 3)))
+        assert math.exp(spec.restricted_logdet) == 1.0
+        assert spec.restricted_rank == 0
 
     def test_partial_rank(self):
-        value, rank = restricted_det(np.diag([3.0, 2.0, 0.0]), 1e-8)
-        assert value == pytest.approx(6.0)
-        assert rank == 2
-
-    def test_invalid_tolerance(self):
-        with pytest.raises(InvalidParameterError):
-            restricted_det(np.eye(2), 0.0)
+        spec = LayerSpectrum.of(np.diag([3.0, 2.0, 0.0]))
+        assert math.exp(spec.restricted_logdet) == pytest.approx(6.0)
+        assert spec.restricted_rank == 2
 
 
 class TestNumericRank:
@@ -218,23 +212,29 @@ class TestHelpersReadLayerSpectrum:
 
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_helpers_equal_spectrum_fields(self, name):
+        # every field against numpy's own SVD of the same matrix
         m = self.MATRICES[name]
         spec = LayerSpectrum.of(m)
-        sv = singular_values(m)
+        sv = np.linalg.svd(m, compute_uv=False)
+        assert np.array_equal(spec.sigma, sv) and np.array_equal(singular_values(m), sv)
         assert spec.rank == int(np.sum(sv > rank_tolerance(sv[0], *m.shape)))
         assert spec.condition_number == (math.inf if sv[-1] == 0.0 else sv[0] / sv[-1])
-        assert operator_norm(m) == spec.op_norm
+        assert spec.op_norm == sv[0]
         assert pq_norm(m, 2, 2) == spec.fro_norm
-        assert restricted_det(m, 1e-8) == (
-            math.exp(spec.restricted_logdet), spec.restricted_rank
+        kept = sv[sv > 1e-8]
+        assert (spec.restricted_logdet, spec.restricted_rank) == (
+            float(np.sum(np.log(kept))), kept.size
         )
-        if spec.gram_logdet is None:
-            with pytest.raises((ShapeError, RankDeficientError)) as err:
-                gram_logdet(m)
-            with pytest.raises(type(err.value), match=re.escape(str(err.value))):
+        if spec.rank < m.shape[1]:
+            assert spec.gram_logdet is None
+            wide = m.shape[0] < m.shape[1]
+            with pytest.raises(ShapeError if wide else RankDeficientError) as err:
                 spec.require_gram_logdet()
+            if not wide:
+                assert err.value.sigma_min == sv[-1]
         else:
-            assert gram_logdet(m) == spec.gram_logdet == spec.require_gram_logdet()
+            assert spec.gram_logdet == float(2.0 * np.sum(np.log(sv)))
+            assert spec.require_gram_logdet() == spec.gram_logdet
 
     def test_tolerance_edges(self):
         above = matcore.LayerSpectrum.of(self.MATRICES["just_above_tolerance"])
