@@ -249,7 +249,7 @@ def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants, g_fa
             index=j + 1,
             rows=spec.rows,
             cols=spec.cols,
-            singular_values=[float(x) for x in spec.sigma],
+            singular_values=spec.sigma.tolist(),
             condition_number=spec.condition_number,
             density_ratio_bound=_exp_or_inf(2.0 * log_lift),
             det_factor=None if koop is None else _exp_or_inf(spec.gram_logdet / 4.0),
@@ -267,7 +267,7 @@ def _factor_table(spectra: list[LayerSpectrum], s_chain, c: BoundConstants, g_fa
         if spec.rank < min(spec.rows, spec.cols):
             log_matrix = None
         else:
-            log_sigma_sum = float(np.sum(np.log(spec.sigma)))
+            log_sigma_sum = float(np.log(spec.sigma).sum())
             log_matrix += s_out * math.log(spec.op_norm) - 0.5 * log_sigma_sum
     return table, layers, log_matrix
 

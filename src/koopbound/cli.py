@@ -188,6 +188,11 @@ def build_task(task: str, seed: int):
     return data, net, True
 
 
+def _finite_epochs(run: trainer.TrainRun) -> list[trainer.EpochMetrics]:
+    """Epochs with a finite matrix_factor; a numerically rank-deficient layer logs inf."""
+    return [m for m in run.metrics if math.isfinite(m.matrix_factor)]
+
+
 def _run_one(task: str, config: trainer.TrainConfig, outdir: Path) -> trainer.TrainRun:
     data, net, classify = build_task(task, config.seed)
     # a bad config leaves no directory behind; a bad outdir fails before training
@@ -197,14 +202,14 @@ def _run_one(task: str, config: trainer.TrainConfig, outdir: Path) -> trainer.Tr
     (outdir / "metrics.csv").write_text(run.metrics_csv())
     weightio.save_weights(run.net, outdir / "weights.json")
     (outdir / "spectrum.csv").write_text(run.spectrum.to_csv())
-    if run.metrics:
-        epochs = [m.epoch for m in run.metrics]
-        shades = [e / max(epochs) for e in epochs]
+    finite = _finite_epochs(run)
+    if finite:
+        last = run.metrics[-1].epoch
         write_scatter(
             outdir / "bound_vs_generror.svg",
-            [m.matrix_factor for m in run.metrics],
-            [m.gen_error for m in run.metrics],
-            shades=shades,
+            [m.matrix_factor for m in finite],
+            [m.gen_error for m in finite],
+            shades=[m.epoch / last for m in finite],
             xlabel="bound factor",
             ylabel="generalization error",
         )
@@ -254,9 +259,9 @@ def cmd_train(args) -> int:
     if len(seeds) > 1:
         lines = ["seed,pearson_bound_generror"]
         for seed, run in zip(seeds, runs):
-            xs = [m.matrix_factor for m in run.metrics if math.isfinite(m.matrix_factor)]
-            ys = [m.gen_error for m in run.metrics if math.isfinite(m.matrix_factor)]
-            r = pearson(xs, ys) if len(xs) > 1 else float("nan")
+            finite = _finite_epochs(run)
+            r = (pearson([m.matrix_factor for m in finite], [m.gen_error for m in finite])
+                 if len(finite) > 1 else float("nan"))
             lines.append(f"{seed},{r!r}")
         (outdir / "correlation_summary.csv").write_text("\n".join(lines) + "\n")
         print(f"wrote {outdir / 'correlation_summary.csv'}")

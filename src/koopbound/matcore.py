@@ -54,14 +54,18 @@ def as_matrix(m) -> np.ndarray:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NotFiniteError("matrix contains NaN or Inf entries")
     return a
 
 
 def singular_values(m) -> np.ndarray:
     """Singular values of m, descending; the module's one SVD entry point."""
-    a = as_matrix(m)
+    return _singular_values(as_matrix(m))
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """`singular_values` of an array that `as_matrix` has already checked."""
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -98,15 +102,31 @@ def pq_norm(m, p: float, q: float) -> float:
     """
     if p < 1 or q < 1:
         raise InvalidParameterError(f"pq_norm needs p, q >= 1, got p={p}, q={q}")
-    a = as_matrix(m)
+    return _pq_norm(as_matrix(m), p, q)
+
+
+def _pq_norm(a: np.ndarray, p: float, q: float) -> float:
+    """`pq_norm` of an array that `as_matrix` has already checked, for p, q >= 1."""
     with np.errstate(over="ignore"):
-        col_norms = np.sum(np.abs(a) ** p, axis=0) ** (1.0 / p)
-        total = np.sum(col_norms ** q)
-    if not sys.float_info.min <= total < math.inf and np.any(a):
+        col_norms = (np.abs(a) ** p).sum(axis=0) ** (1.0 / p)
+        total = (col_norms ** q).sum()
+    if not sys.float_info.min <= total < math.inf and a.any():
         # |M|^p left float64's normal range: scale by the largest entry first
-        top = float(np.max(np.abs(a)))
-        return top * pq_norm(a / top, p, q)
+        top = float(np.abs(a).max())
+        return top * _pq_norm(a / top, p, q)
     return float(total ** (1.0 / q))
+
+
+def _stable_rank(sigma: np.ndarray, op_norm: float) -> float:
+    """sum sigma_i^2 / op_norm^2, op_norm the largest of sigma; NaN when it is 0."""
+    if op_norm == 0.0:
+        return math.nan
+    with np.errstate(over="ignore"):
+        total = float((sigma ** 2).sum())
+    top = op_norm * op_norm
+    if top < sys.float_info.min or total == math.inf:  # scale before squaring
+        return float(((sigma / op_norm) ** 2).sum())
+    return total / top
 
 
 @dataclass(frozen=True)
@@ -133,15 +153,19 @@ class LayerSpectrum:
     restricted_rank: int
     op_norm: float
     fro_norm: float
+    stable_rank: float  # ||W||_F^2 / ||W||^2 = sum sigma_i^2 / sigma_1^2; NaN for the zero matrix
 
     @classmethod
     def of(cls, w) -> "LayerSpectrum":
+        """The spectrum of w from one SVD; w is checked once (`as_matrix`), and the
+        SVD and the Frobenius norm run on the checked array."""
         a = as_matrix(w)
         rows, cols = a.shape
-        s = singular_values(a)
+        s = _singular_values(a)
         s.setflags(write=False)
-        tol = rank_tolerance(float(s[0]), rows, cols)
-        rank = int(np.sum(s > tol))
+        op_norm = float(s[0])
+        tol = rank_tolerance(op_norm, rows, cols)
+        rank = int((s > tol).sum())
         kept = s[s > _RESTRICTED_CUTOFF]
         return cls(
             rows=rows,
@@ -149,12 +173,13 @@ class LayerSpectrum:
             sigma=s,
             tol=tol,
             rank=rank,
-            gram_logdet=float(2.0 * np.sum(np.log(s))) if rank == cols else None,
-            lifted_logdet=float(np.sum(log1p_square(s))),
-            restricted_logdet=float(np.sum(np.log(kept))),
+            gram_logdet=float(2.0 * np.log(s).sum()) if rank == cols else None,
+            lifted_logdet=float(log1p_square(s).sum()),
+            restricted_logdet=float(np.log(kept).sum()),
             restricted_rank=int(kept.size),
-            op_norm=float(s[0]),
-            fro_norm=pq_norm(a, 2, 2),
+            op_norm=op_norm,
+            fro_norm=_pq_norm(a, 2, 2),
+            stable_rank=_stable_rank(s, op_norm),
         )
 
     @property
@@ -167,18 +192,6 @@ class LayerSpectrum:
         if self.sigma_min == 0.0:
             return math.inf
         return self.op_norm / self.sigma_min
-
-    @property
-    def stable_rank(self) -> float:
-        """||W||_F^2 / ||W||^2 = sum sigma_i^2 / sigma_1^2; NaN for the zero matrix."""
-        if self.op_norm == 0.0:
-            return math.nan
-        with np.errstate(over="ignore"):
-            total = float(np.sum(self.sigma ** 2))
-        top = self.op_norm * self.op_norm
-        if top < sys.float_info.min or total == math.inf:  # scale before squaring
-            return float(np.sum((self.sigma / self.op_norm) ** 2))
-        return total / top
 
     def require_gram_logdet(self) -> float:
         """gram_logdet, or the ShapeError (wide) or RankDeficientError that says why not."""

@@ -59,7 +59,8 @@ def _forward_cache(net: NetworkSpec, X: np.ndarray, with_derivatives: bool = Fal
     for layer in net.layers:
         if isinstance(layer.activation, CustomActivation):
             raise TrainerError(f"cannot train through activation {layer.activation!r}")
-        a = z @ layer.weight.T + layer.bias
+        a = z @ layer.weight.T
+        a += layer.bias
         if with_derivatives:
             z, deriv = layer.activation.value_and_derivative(a)
             derivs.append(deriv)
@@ -74,8 +75,8 @@ def _head_output(head, z: np.ndarray) -> np.ndarray:
     if isinstance(head, GaussianHead):
         return _gaussian_head(head.c, z)
     if isinstance(head, SoftmaxHead):
-        e = np.exp(z - np.max(z, axis=1, keepdims=True))
-        return e / np.sum(e, axis=1, keepdims=True)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
     raise TrainerError(f"head {head!r} has no forward evaluation")
 
 
@@ -95,10 +96,10 @@ def _mean_loss(head, out: np.ndarray, Y) -> float:
     """Mean loss of head outputs against real targets or integer labels, under
     the loss `_LOSS_HEADS` pairs with the head."""
     if _head_loss(head) == "squared":
-        loss = float(np.mean((out - np.asarray(Y, dtype=float).reshape(-1)) ** 2))
+        loss = float(((out - np.asarray(Y, dtype=float).reshape(-1)) ** 2).mean())
     else:
         labels = np.asarray(Y, dtype=int).reshape(-1)
-        loss = float(-np.mean(np.log(out[np.arange(labels.shape[0]), labels])))
+        loss = float(-np.log(out[np.arange(labels.shape[0]), labels]).mean())
     if not math.isfinite(loss):
         raise DivergenceError("non-finite loss")
     return loss
@@ -123,7 +124,7 @@ def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str | None = None):
     the Gaussian head and real targets, "cross_entropy" for the softmax
     head and integer labels.  head_loss None takes it from the head; an
     explicit head_loss must name it, else TrainerError.
-    Returns (loss, [(dW_1, db_1), ..., (dW_L, db_L)]).
+    Returns (loss, [(dW_1, db_1), ..., (dW_L, db_L)]); no delta reaches the input.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
@@ -147,14 +148,14 @@ def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str | None = None):
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * net.depth
     for j in range(net.depth - 1, -1, -1):
-        layer = net.layers[j]
         delta_a = delta if derivs[j] is None else delta * derivs[j]
         gw = delta_a.T @ post[j]
-        gb = np.sum(delta_a, axis=0)
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+        gb = delta_a.sum(axis=0)
+        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
             raise DivergenceError(f"non-finite gradient in layer {j + 1}")
         grads[j] = (gw, gb)
-        delta = delta_a @ layer.weight
+        if j:  # nothing reads the input's delta
+            delta = delta_a @ net.layers[j].weight
     return loss, grads
 
 
@@ -169,8 +170,7 @@ def regularizer_synthetic(net: NetworkSpec, lam: float):
     -det(W^T W)^(-1/2) W (W^T W)^(-1) scaled by the other layers' factors;
     the norm term uses the top singular pair subgradient u1 v1^T.
     """
-    det_inv = []
-    svds = []
+    det_inv, ops, svds = [], [], []
     for j, layer in enumerate(net.layers):
         w = layer.weight
         if w.shape[0] < w.shape[1]:
@@ -179,16 +179,16 @@ def regularizer_synthetic(net: NetworkSpec, lam: float):
                 sigma_min=0.0,
             )
         u, s, vt = np.linalg.svd(w, full_matrices=False)
-        tol = 1e-12 * max(w.shape) * (s[0] if s[0] > 0 else 1.0)
-        if s[-1] <= tol:
+        top, bottom = float(s[0]), float(s[-1])
+        ops.append(top)
+        if bottom <= 1e-12 * max(w.shape) * (top if top > 0 else 1.0):
             raise RankDeficientError(
                 f"layer {j + 1} is numerically singular; "
                 "use the per-layer regularizer instead",
-                sigma_min=float(s[-1]),
+                sigma_min=bottom,
             )
         svds.append((u, s, vt))
-        det_inv.append(math.exp(-float(np.sum(np.log(s)))))
-    ops = [float(svd[1][0]) for svd in svds]
+        det_inv.append(math.exp(-float(np.log(s).sum())))
     det_prod = math.prod(det_inv)
     if det_prod == 0.0:  # the other layers' factors below divide by it
         raise DivergenceError("determinant term of the synthetic regularizer underflows")
@@ -200,7 +200,7 @@ def regularizer_synthetic(net: NetworkSpec, lam: float):
         other_op = op_prod / ops[j]
         # d det(W^T W)^(-1/2) / dW = -det^(-1/2) W (W^T W)^(-1) = -det^(-1/2) U S^(-1) V^T
         g_det = -det_inv[j] * (u / s) @ vt
-        g_op = np.outer(u[:, 0], vt[0, :])
+        g_op = u[:, :1] * vt[:1]  # the outer product u1 v1^T
         grads.append(lam * (other_det * g_det + 10.0 * other_op * g_op))
     return value, grads
 
@@ -209,11 +209,11 @@ def regularizer_perlayer(w, lam1: float, lam2: float):
     """lam1 ||W|| + lam2 / det(I + W^T W), value and gradient for one matrix."""
     w = np.asarray(w, dtype=float)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
-    log_det = float(np.sum(log1p_square(s)))
+    log_det = float(log1p_square(s).sum())
     det_inv = math.exp(-log_det)
     value = lam1 * float(s[0]) + lam2 * det_inv
     # d det(I + W^T W)^(-1) / dW = -det^(-1) * 2 W (I + W^T W)^(-1)
-    g = lam1 * np.outer(u[:, 0], vt[0, :])
+    g = lam1 * (u[:, :1] * vt[:1])
     g += -lam2 * det_inv * 2.0 * (u * (s / (1.0 + s ** 2))) @ vt
     return value, g
 

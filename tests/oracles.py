@@ -19,13 +19,23 @@ bit for bit.
 `gen_error_estimate` and `classification_accuracy` evaluate a network
 after training, from the trainer's forward pass and loss: the reference
 for the per-epoch evaluation `train` runs inline.
+
+`loss_and_grads_reference`, `regularizer_synthetic_reference` and
+`layer_spectrum_reference` repeat the trainer's batch loss and gradients,
+its synthetic regularizer and `LayerSpectrum.of` as plain allocating
+numpy expressions, module-level reducers included, with the operations in
+the library's order: the library's in-place and method forms must match
+them bit for bit.
 """
 
 import math
+import sys
 
 import numpy as np
 
 from koopbound.kernels import kernel_trace_bound, sobolev_kernel
+from koopbound.matcore import log1p_square, pq_norm, rank_tolerance, singular_values
+from koopbound.network import GaussianHead, Identity
 from koopbound.rademacher import BIAS_RADIUS, _draw_seed
 from koopbound.trainer import _accuracy, _mean_loss, forward
 
@@ -260,3 +270,89 @@ def gen_error_estimate(net, data) -> float:
 
 def classification_accuracy(net, X, labels) -> float:
     return _accuracy(forward(net, np.atleast_2d(X)), labels)
+
+
+def loss_and_grads_reference(net, X, Y):
+    """(loss, [(dW_j, db_j)]) of `trainer.loss_and_grads` under the head's
+    loss: squared error for a Gaussian head, cross-entropy for a softmax
+    head.  Smooth leaky ReLU or identity layers only."""
+    z = np.atleast_2d(np.asarray(X, dtype=float))
+    n = z.shape[0]
+    derivs, post = [], [z]
+    for layer in net.layers:
+        a = z @ layer.weight.T + layer.bias
+        if isinstance(layer.activation, Identity):
+            z, deriv = a, None
+        else:
+            act = layer.activation
+            z, deriv = smooth_leaky_relu_reference(a, act.alpha, act.mu)
+        derivs.append(deriv)
+        post.append(z)
+    z_last = post[-1]
+    if isinstance(net.head, GaussianHead):
+        f = np.exp(-net.head.c * np.sum(z_last * z_last, axis=1))
+        y = np.asarray(Y, dtype=float).reshape(-1)
+        loss = float(np.mean((f - y) ** 2))
+        delta = ((2.0 / n) * (f - y) * f * (-2.0 * net.head.c))[:, None] * z_last
+    else:
+        e = np.exp(z_last - np.max(z_last, axis=1, keepdims=True))
+        f = e / np.sum(e, axis=1, keepdims=True)
+        labels = np.asarray(Y, dtype=int).reshape(-1)
+        loss = float(-np.mean(np.log(f[np.arange(n), labels])))
+        delta = f.copy()
+        delta[np.arange(n), labels] -= 1.0
+        delta /= n
+    grads = [None] * len(net.layers)
+    for j in range(len(net.layers) - 1, -1, -1):
+        delta_a = delta if derivs[j] is None else delta * derivs[j]
+        grads[j] = (delta_a.T @ post[j], np.sum(delta_a, axis=0))
+        delta = delta_a @ net.layers[j].weight
+    return loss, grads
+
+
+def regularizer_synthetic_reference(net, lam: float):
+    """(value, [dW_j]) of `trainer.regularizer_synthetic` for tall full-rank layers."""
+    svds = [np.linalg.svd(layer.weight, full_matrices=False) for layer in net.layers]
+    det_inv = [math.exp(-float(np.sum(np.log(s)))) for _, s, _ in svds]
+    ops = [float(s[0]) for _, s, _ in svds]
+    det_prod, op_prod = math.prod(det_inv), math.prod(ops)
+    grads = []
+    for j, (u, s, vt) in enumerate(svds):
+        g_det = -det_inv[j] * (u / s) @ vt
+        g_op = np.outer(u[:, 0], vt[0, :])
+        grads.append(lam * (det_prod / det_inv[j] * g_det + 10.0 * (op_prod / ops[j]) * g_op))
+    return lam * (det_prod + 10.0 * op_prod), grads
+
+
+def layer_spectrum_reference(w) -> dict:
+    """Every `LayerSpectrum` field of w, from `singular_values` and `pq_norm`."""
+    w = np.asarray(w, dtype=float)
+    rows, cols = w.shape
+    s = singular_values(w)
+    tol = rank_tolerance(float(s[0]), rows, cols)
+    rank = int(np.sum(s > tol))
+    kept = s[s > 1e-8]
+    op = float(s[0])
+    if op == 0.0:
+        stable_rank = math.nan
+    else:
+        with np.errstate(over="ignore"):
+            total = float(np.sum(s ** 2))
+        if op * op < sys.float_info.min or total == math.inf:
+            stable_rank = float(np.sum((s / op) ** 2))
+        else:
+            stable_rank = total / (op * op)
+    return {
+        "rows": rows,
+        "cols": cols,
+        "sigma": s,
+        "tol": tol,
+        "rank": rank,
+        "gram_logdet": float(2.0 * np.sum(np.log(s))) if rank == cols else None,
+        "lifted_logdet": float(np.sum(log1p_square(s))),
+        "restricted_logdet": float(np.sum(np.log(kept))),
+        "restricted_rank": int(kept.size),
+        "op_norm": op,
+        "fro_norm": pq_norm(w, 2, 2),
+        "stable_rank": stable_rank,
+    }

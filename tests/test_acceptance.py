@@ -59,6 +59,7 @@ def test_density_ratio_dominance(capsys):
             f"{detail}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_mc_lower_bound_dominated(capsys):
     t0 = time.time()
     verdict = verify.suite_dominance(draws=2000, candidates=500, seeds=(0, 1, 2))
@@ -182,6 +183,7 @@ def test_gradient_correctness(capsys):
             f"{worst_reg:.2e} (<1e-3), {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_bound_tracks_generalization_error(capsys):
     t0 = time.time()
     correlations = []
@@ -218,6 +220,7 @@ def paired_digit_runs():
     return pairs, time.time() - t0
 
 
+@pytest.mark.slow
 def test_regularizer_shrinks_spectral_quantity(capsys, paired_digit_runs):
     pairs, elapsed = paired_digit_runs
     ratios, acc_reg, acc_unreg = [], [], []
@@ -298,6 +301,7 @@ def test_degenerate_rank_routing(capsys):
             f"zero-matrix factor={zero_factor}")
 
 
+@pytest.mark.slow
 def test_condition_number_declines_under_regularization(capsys, paired_digit_runs):
     pairs, _ = paired_digit_runs
     firsts, finals = [], []

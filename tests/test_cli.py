@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koopbound import bounds, cli, trainer, weightio
+from koopbound import bounds, cli, diagnostics, trainer, weightio
 from koopbound.matcore import RankDeficientError
 from koopbound.network import (
     CustomActivation, GaussianHead, LayerSpec, NetworkSpec, SmoothLeakyRelu, SoftmaxHead,
@@ -819,6 +819,35 @@ class TestTrainCommand:
                 "--no-regularizer", "--outdir", str(noreg))
         assert (base / "weights.json").read_bytes() != (noreg / "weights.json").read_bytes()
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("factors", [[1.0, 2.0, math.inf], [math.inf, math.inf]],
+                         ids=["one_inf", "all_inf"])
+def test_scatter_plots_finite_matrix_factors_only(tmp_path, capsys, monkeypatch, factors):
+    """An epoch with a numerically rank-deficient layer logs matrix_factor inf;
+    the plot leaves it out, as the Pearson summary does, and each point keeps
+    its shade epoch / last epoch.  No finite epoch, no plot."""
+    def inf_training(config, data, net, classification=False):
+        metrics = [trainer.EpochMetrics(epoch=e, train_loss=0.5, gen_error=0.1 * e,
+                                        matrix_factor=f, bound_totals={})
+                   for e, f in enumerate(factors, start=1)]
+        return trainer.TrainRun(config=config, metrics=metrics, net=net,
+                                spectrum=diagnostics.SpectrumLog())
+
+    monkeypatch.setattr(trainer, "train", inf_training)
+    assert run_cli("train", "--task", "synthetic", "--outdir", str(tmp_path)) == 0
+    capsys.readouterr()
+    svg = tmp_path / "bound_vs_generror.svg"
+    finite = [(e, f) for e, f in enumerate(factors, start=1) if math.isfinite(f)]
+    if not finite:
+        assert not svg.exists()
+        return
+    assert svg.read_text() == scatter_svg(
+        [f for _, f in finite], [0.1 * e for e, _ in finite],
+        shades=[e / len(factors) for e, _ in finite],
+        xlabel="bound factor", ylabel="generalization error",
+    )
+    assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
 
 
 def test_spectrum_csv_header_matches_documented_columns(tmp_path, capsys):

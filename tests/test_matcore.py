@@ -20,6 +20,8 @@ from koopbound.matcore import (
     rank_tolerance,
     singular_values,
 )
+from koopbound.network import GaussianHead, SoftmaxHead
+from koopbound.trainer import build_network
 
 import oracles
 
@@ -242,3 +244,37 @@ class TestHelpersReadLayerSpectrum:
         assert above.tol == below.tol == rank_tolerance(1.0, 2, 2)
         assert (above.rank, below.rank) == (2, 1)
         assert below.restricted_rank == 2  # above the absolute 1e-8 cutoff
+
+
+def _bit_exact_spectrum_cases():
+    rng = np.random.default_rng(8)
+    nets = (
+        build_network([3, 3, 6], GaussianHead(), seed=0),
+        build_network([64, 128, 128, 10], SoftmaxHead(), seed=0,
+                      init=["orthogonal", "orthogonal", "truncated_normal"]),
+    )
+    cases = {
+        f"{net.widths}-layer{j + 1}": layer.weight + 0.05 * rng.standard_normal(layer.weight.shape)
+        for net in nets for j, layer in enumerate(net.layers)
+    }
+    cases.update(TestHelpersReadLayerSpectrum.MATRICES)
+    cases["tiny"] = 1e-200 * rng.standard_normal((4, 3))
+    cases["huge"] = 1e200 * rng.standard_normal((4, 3))
+    return cases
+
+
+BIT_EXACT_SPECTRUM_CASES = _bit_exact_spectrum_cases()
+
+
+@pytest.mark.parametrize("name", sorted(BIT_EXACT_SPECTRUM_CASES))
+def test_layer_spectrum_equals_reference_bit_for_bit(name):
+    """Every LayerSpectrum field against the one built from singular_values and pq_norm."""
+    w = BIT_EXACT_SPECTRUM_CASES[name]
+    spec = LayerSpectrum.of(w)
+    for field, ref in oracles.layer_spectrum_reference(w).items():
+        got = getattr(spec, field)
+        if ref is None or isinstance(ref, int):
+            assert got == ref, field
+        else:
+            assert np.array_equal(np.asarray(got, dtype=float).view(np.uint64),
+                                  np.asarray(ref, dtype=float).view(np.uint64)), field

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from koopbound import trainer as trainer_mod
+from koopbound.cli import build_task
 from koopbound.matcore import RankDeficientError
 from koopbound.network import (
     CustomActivation,
@@ -241,6 +242,47 @@ class TestSyntheticRegularizer:
         with pytest.raises(RankDeficientError) as info:
             regularizer_synthetic(net, lam=0.1)
         assert info.value.sigma_min == pytest.approx(0.0, abs=1e-12)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _perturbed_task(task: str, batch: int):
+    """A task's net with every weight moved off its init and nonzero biases,
+    and the first `batch` training rows."""
+    data, net, _ = build_task(task, 0)
+    rng = np.random.default_rng(5)
+    for layer in net.layers:
+        layer.weight += 0.05 * rng.standard_normal(layer.weight.shape)
+        layer.bias += 0.1 * rng.standard_normal(layer.bias.shape)
+    return net, data.inputs[:batch], data.targets[:batch]
+
+
+class TestBitExactReferences:
+    """loss_and_grads and regularizer_synthetic against plain allocating
+    expressions of the same arithmetic, bit for bit: on the 3-3-6
+    Gaussian-head net at batch 100 and the 64-128-128-10 softmax net at
+    batch 32 (its last layer is wide, so the synthetic regularizer rejects it)."""
+
+    @pytest.mark.parametrize("task,batch", [("synthetic", 100), ("digits", 32)])
+    def test_loss_and_grads(self, task, batch):
+        net, X, Y = _perturbed_task(task, batch)
+        loss, grads = loss_and_grads(net, X, Y)
+        ref_loss, ref_grads = oracles.loss_and_grads_reference(net, X, Y)
+        assert _bits(loss) == _bits(ref_loss)
+        for (gw, gb), (rw, rb) in zip(grads, ref_grads, strict=True):
+            assert gw.shape == rw.shape and gb.shape == rb.shape
+            assert np.array_equal(_bits(gw), _bits(rw))
+            assert np.array_equal(_bits(gb), _bits(rb))
+
+    def test_regularizer_synthetic(self):
+        net, _, _ = _perturbed_task("synthetic", 100)
+        value, grads = regularizer_synthetic(net, 0.01)
+        ref_value, ref_grads = oracles.regularizer_synthetic_reference(net, 0.01)
+        assert _bits(value) == _bits(ref_value)
+        for g, r in zip(grads, ref_grads, strict=True):
+            assert g.shape == r.shape and np.array_equal(_bits(g), _bits(r))
 
 
 class TestDatasets:
