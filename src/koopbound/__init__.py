@@ -64,6 +64,7 @@ from .rademacher import (
     FunctionClassSpec,
     sample_networks,
     empirical_rademacher_lower,
+    empirical_rademacher_lower_by_depth,
     class_upper_bound,
 )
 from .weightio import WeightFileError, save_weights, load_weights

@@ -5,6 +5,9 @@ class by a maximum over finitely many sampled members, which can only
 shrink the value, so every estimate is a guaranteed lower bound on the
 true complexity.  Dominance of `bound`'s invertible total for the class
 (`class_upper_bound`) over these estimates is the headline end-to-end check.
+The depth-l estimate can be read from the depth-L draw stream
+(`empirical_rademacher_lower_by_depth`): a depth-l draw is, bit for bit,
+the first l layers of the depth-L draw with the same seed and index.
 """
 
 from __future__ import annotations
@@ -170,6 +173,30 @@ def _draw_seed(seed: int, draw: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(draw,)))
 
 
+def _estimates(points, spec: FunctionClassSpec, draws: int, candidates: int,
+               seed: int, depths) -> list[float]:
+    """The one per-draw loop: an estimate for each prefix depth in
+    `depths`, every depth reading the same signs and full-depth candidates."""
+    if draws < 1 or candidates < 1:
+        raise ValueError("draws and candidates must be >= 1")
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    d = spec.widths[0]
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != d:
+        raise ValueError(f"points of shape {x.shape}: need n >= 1 rows of the input width {d}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"points of shape {x.shape} (input width {d}) must be finite")
+    n = x.shape[0]
+    totals = [0.0] * len(depths)
+    for draw in range(draws):
+        rng = _draw_seed(seed, draw)
+        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        params = sample_networks(spec, rng, candidates)
+        for k, depth in enumerate(depths):
+            values = evaluate_networks(params[:depth], x)  # (candidates, n)
+            totals[k] += float(np.max(values @ signs) / n)
+    return [total / draws for total in totals]
+
+
 def empirical_rademacher_lower(
     points,
     spec: FunctionClassSpec,
@@ -184,23 +211,20 @@ def empirical_rademacher_lower(
     max_f (1/n) sum_i s_i f(x_i).  Deterministic by seed through a fixed
     per-draw seed-splitting rule.
     """
-    if draws < 1 or candidates < 1:
-        raise ValueError("draws and candidates must be >= 1")
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    d = spec.widths[0]
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != d:
-        raise ValueError(f"points of shape {x.shape}: need n >= 1 rows of the input width {d}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"points of shape {x.shape} (input width {d}) must be finite")
-    n = x.shape[0]
-    total = 0.0
-    for draw in range(draws):
-        rng = _draw_seed(seed, draw)
-        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        params = sample_networks(spec, rng, candidates)
-        values = evaluate_networks(params, x)  # (candidates, n)
-        total += float(np.max(values @ signs) / n)
-    return total / draws
+    return _estimates(points, spec, draws, candidates, seed, (len(spec.widths) - 1,))[0]
+
+
+def empirical_rademacher_lower_by_depth(
+    points,
+    spec: FunctionClassSpec,
+    draws: int = 2000,
+    candidates: int = 500,
+    seed: int = 0,
+) -> list[float]:
+    """`empirical_rademacher_lower` for each prefix depth 1..L from one draw
+    stream: entry l-1 equals, bit for bit, the estimate for the depth-l
+    class FunctionClassSpec(spec.widths[:l+1], ...) with the same arguments."""
+    return _estimates(points, spec, draws, candidates, seed, range(1, len(spec.widths)))
 
 
 def class_upper_bound(spec: FunctionClassSpec, n: int) -> float:

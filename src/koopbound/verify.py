@@ -105,20 +105,29 @@ def suite_dominance(
     """MC lower estimates stay strictly below the class bound, the invertible
     total `bound` reports for the class's extremal member
     (`rademacher.class_upper_bound`)."""
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
+    if draws < 1 or candidates < 1:
+        raise ValueError("draws and candidates must be >= 1")
     n = 20
     d = 2
-    C, D = 1.5, 0.5
     points = np.random.default_rng(1234).standard_normal((n, d))
-    checks = []
-    for depth in (1, 2):
-        spec = rademacher.FunctionClassSpec(
-            widths=(d,) * (depth + 1), constraint="inv", C=C, D=D
+    specs = [
+        rademacher.FunctionClassSpec(widths=(d,) * (depth + 1), constraint="inv", C=1.5, D=0.5)
+        for depth in (1, 2)
+    ]
+    uppers = [rademacher.class_upper_bound(spec, n) for spec in specs]
+    # one draw stream per seed: the L=1 estimate is read from the L=2 draws
+    lowers = [
+        rademacher.empirical_rademacher_lower_by_depth(
+            points, specs[-1], draws=draws, candidates=candidates, seed=seed
         )
-        upper = rademacher.class_upper_bound(spec, n)
-        for seed in seeds:
-            lower = rademacher.empirical_rademacher_lower(
-                points, spec, draws=draws, candidates=candidates, seed=seed
-            )
+        for seed in seeds
+    ]
+    checks = []
+    for depth, upper in enumerate(uppers, start=1):
+        for seed, by_depth in zip(seeds, lowers):
+            lower = by_depth[depth - 1]
             checks.append(
                 _check(
                     f"L={depth} seed={seed}: MC lower < closed-form bound",

@@ -657,6 +657,28 @@ def test_softmax_commands_do_not_load_quadrature(tmp_path):
     assert doc["g_norm"] == expected.g_norm
 
 
+@pytest.mark.parametrize("task,epochs", [("digits", "2"), ("synthetic", "20")])
+def test_fresh_processes_and_blas_threads_move_no_bit(tmp_path, task, epochs):
+    """The determinism contract across processes: a `train` run in a fresh
+    process at the default BLAS threads and one with OPENBLAS_NUM_THREADS=1
+    (a fresh process also draws its own hash seed) write the same bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "PYTHONHASHSEED")}
+    base["PYTHONPATH"] = src
+    outdirs = []
+    for name, extra in (("default", {}), ("one_thread", {"OPENBLAS_NUM_THREADS": "1"})):
+        outdirs.append(tmp_path / name)
+        subprocess.run(
+            [sys.executable, "-m", "koopbound.cli", "train", "--task", task,
+             "--epochs", epochs, "--seed", "0", "--outdir", str(outdirs[-1])],
+            env={**base, **extra}, capture_output=True, check=True, timeout=120,
+        )
+    for name in ("metrics.csv", "spectrum.csv", "weights.json"):
+        a, b = ((d / name).read_bytes() for d in outdirs)
+        assert a == b, name
+
+
 class TestTrainCommand:
     def test_artifacts_and_byte_identity(self, tmp_path, capsys):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

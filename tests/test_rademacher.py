@@ -17,6 +17,7 @@ from koopbound.rademacher import (
     InfeasibleClassError,
     class_upper_bound,
     empirical_rademacher_lower,
+    empirical_rademacher_lower_by_depth,
     evaluate_networks,
     sample_networks,
 )
@@ -218,6 +219,53 @@ class TestEstimators:
         pts[2, 1] = np.nan
         with pytest.raises(ValueError, match=r"shape \(4, 2\).*finite"):
             empirical_rademacher_lower(pts, spec, draws=2, candidates=5)
+
+
+class TestByDepth:
+    """One draw stream serves every prefix depth, bit for bit."""
+
+    @pytest.mark.parametrize("widths", [(2, 2, 2), (3, 3, 3, 3)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_each_depth_equals_its_own_estimate(self, widths, seed):
+        spec = FunctionClassSpec(widths=widths, constraint="inv", C=1.5, D=0.5)
+        pts = np.random.default_rng(22).standard_normal((9, widths[0]))
+        got = empirical_rademacher_lower_by_depth(pts, spec, draws=6, candidates=40, seed=seed)
+        assert len(got) == len(widths) - 1
+        for depth, value in enumerate(got, start=1):
+            prefix = FunctionClassSpec(widths=widths[:depth + 1], constraint="inv", C=1.5, D=0.5)
+            want = empirical_rademacher_lower(pts, prefix, draws=6, candidates=40, seed=seed)
+            assert value.hex() == want.hex()
+
+    def test_one_sample_per_draw(self, monkeypatch):
+        calls = {"sample": 0, "evaluate": 0}
+        sample, evaluate = rademacher.sample_networks, rademacher.evaluate_networks
+
+        def counting_sample(*args, **kwargs):
+            calls["sample"] += 1
+            return sample(*args, **kwargs)
+
+        def counting_evaluate(*args, **kwargs):
+            calls["evaluate"] += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(rademacher, "sample_networks", counting_sample)
+        monkeypatch.setattr(rademacher, "evaluate_networks", counting_evaluate)
+        spec = FunctionClassSpec(widths=(2, 2, 2, 2), constraint="inv", C=1.5, D=0.5)
+        empirical_rademacher_lower_by_depth(np.ones((4, 2)), spec, draws=5, candidates=10)
+        assert calls == {"sample": 5, "evaluate": 15}
+
+    @pytest.mark.parametrize("points,kwargs,match", [
+        (np.ones((3, 2)), {"draws": 0}, "draws and candidates"),
+        (np.ones((3, 2)), {"candidates": 0}, "draws and candidates"),
+        (np.empty((0, 2)), {}, r"shape \(0, 2\).*width 2"),
+        (np.ones((4, 3)), {}, r"shape \(4, 3\).*width 2"),
+        (np.array([[1.0, np.nan]]), {}, r"shape \(1, 2\).*finite"),
+    ])
+    def test_same_checks_as_single_depth(self, points, kwargs, match):
+        spec = FunctionClassSpec(widths=(2, 2, 2), constraint="inv", C=1.5, D=0.5)
+        for estimate in (empirical_rademacher_lower, empirical_rademacher_lower_by_depth):
+            with pytest.raises(ValueError, match=match):
+                estimate(points, spec, **{"draws": 2, "candidates": 5, **kwargs})
 
 
 class TestPinnedEstimates:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from koopbound import verify
+from koopbound import rademacher, verify
 from koopbound.bounds import density_ratio_bound
 from koopbound.matcore import InvalidParameterError, LayerSpectrum
 from koopbound.verify import (
@@ -71,6 +71,51 @@ class TestKernelsSuite:
     def test_passes(self):
         verdict = suite_kernels(seed=1)
         assert verdict["passed"]
+
+
+class TestDominanceSuite:
+    def _count(self, monkeypatch, name):
+        calls = []
+        original = getattr(rademacher, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rademacher, name, counting)
+        return calls
+
+    def test_one_draw_stream_per_seed(self, monkeypatch):
+        # the L=1 estimate is read from the L=2 draws: one sample per
+        # (seed, draw), one forward pass per (seed, draw, depth)
+        sampled = self._count(monkeypatch, "sample_networks")
+        evaluated = self._count(monkeypatch, "evaluate_networks")
+        verdict = suite_dominance(draws=3, candidates=20, seeds=(0, 1))
+        assert len(sampled) == 6
+        assert len(evaluated) == 12
+        assert [c["name"].split(":")[0] for c in verdict["checks"]] == [
+            "L=1 seed=0", "L=1 seed=1", "L=2 seed=0", "L=2 seed=1",
+        ]
+
+    def test_estimates_match_single_depth_estimator(self):
+        points = np.random.default_rng(1234).standard_normal((20, 2))
+        verdict = suite_dominance(draws=3, candidates=20, seeds=(4,))
+        for depth, check in enumerate(verdict["checks"], start=1):
+            spec = rademacher.FunctionClassSpec((2,) * (depth + 1), "inv", 1.5, 0.5)
+            want = rademacher.empirical_rademacher_lower(points, spec, 3, 20, seed=4)
+            assert check["values"]["lower"] == want
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seeds"):
+            suite_dominance(draws=3, candidates=20, seeds=())
+
+    @pytest.mark.parametrize("kwargs", [{"draws": 0}, {"candidates": 0}])
+    def test_counts_checked_before_any_work(self, monkeypatch, kwargs):
+        bounded = self._count(monkeypatch, "class_upper_bound")
+        sampled = self._count(monkeypatch, "sample_networks")
+        with pytest.raises(ValueError, match="draws and candidates"):
+            suite_dominance(**{"draws": 3, "candidates": 20, "seeds": (0,), **kwargs})
+        assert bounded == [] and sampled == []
 
 
 class TestRunSuites:
