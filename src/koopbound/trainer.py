@@ -117,13 +117,12 @@ def forward(net: NetworkSpec, x):
     return out[0] if single else out
 
 
-def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str | None = None):
+def loss_and_grads(net: NetworkSpec, X, Y):
     """Mean loss over the batch and analytic gradients per parameter.
 
     The loss is the one `_LOSS_HEADS` pairs with net.head: "squared" for
     the Gaussian head and real targets, "cross_entropy" for the softmax
-    head and integer labels.  head_loss None takes it from the head; an
-    explicit head_loss must name it, else TrainerError.
+    head and integer labels.
     Returns (loss, [(dW_1, db_1), ..., (dW_L, db_L)]); no delta reaches the input.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -133,11 +132,8 @@ def loss_and_grads(net: NetworkSpec, X, Y, head_loss: str | None = None):
     derivs, post = _forward_cache(net, X, with_derivatives=True)
     z_last = post[-1]
     f = _head_output(net.head, z_last)
-    paired = _head_loss(net.head)
-    if head_loss not in (None, paired):
-        raise TrainerError(f"head loss {head_loss!r} does not pair with head {net.head!r}")
     loss = _mean_loss(net.head, f, Y)
-    if paired == "squared":
+    if _head_loss(net.head) == "squared":
         y = np.asarray(Y, dtype=float).reshape(-1)
         # d loss / d z_L = (2/n) (f - y) * f * (-2c) z_L
         delta = ((2.0 / n) * (f - y) * f * (-2.0 * net.head.c))[:, None] * z_last

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import kernels, matcore, rademacher, trainer
-from .network import GaussianHead, default_smoothness
+from .network import GaussianHead, SoftmaxHead, default_smoothness
 
 
 def _check(name: str, passed: bool, detail: str, **values: float) -> dict:
@@ -65,6 +65,8 @@ def density_ratio_grid_sup(w, s_prev: float, s_cur: float) -> float:
 
 def suite_lemma1(num_matrices: int = 100, seed: int = 0) -> dict:
     """Sampled density-ratio suprema never exceed the closed form."""
+    if num_matrices < 1:
+        raise ValueError(f"num_matrices must be >= 1, got {num_matrices}")
     rng = np.random.default_rng(seed)
     checks = []
     worst_gap = -math.inf
@@ -169,25 +171,21 @@ def suite_gradients(seed: int = 0) -> dict:
     """Analytic loss/regularizer gradients vs central finite differences."""
     rng = np.random.default_rng(seed)
     checks = []
-    for widths, head_loss, head in (
-        ([3, 3, 6], "squared", GaussianHead()),
-        ([6, 8, 8, 4], "squared", GaussianHead()),
-    ):
+    for widths, head in (([3, 3, 6], GaussianHead()), ([64, 128, 128, 10], SoftmaxHead())):
         worst = 0.0
-        for _ in range(5):
+        for _ in range(20):
             net = trainer.build_network(widths, head, seed=int(rng.integers(1 << 30)))
             for layer in net.layers:
                 layer.bias = rng.standard_normal(layer.bias.shape) * 0.3
             X = rng.standard_normal((8, widths[0]))
-            Y = rng.random(8)
-            _, grads = trainer.loss_and_grads(net, X, Y, head_loss)
+            Y = rng.random(8) if isinstance(head, GaussianHead) else rng.integers(0, widths[-1], 8)
+            _, grads = trainer.loss_and_grads(net, X, Y)
             params = [l.weight for l in net.layers] + [l.bias for l in net.layers]
             flat_grads = [g[0] for g in grads] + [g[1] for g in grads]
             worst = max(
                 worst,
                 _finite_diff_ok(
-                    lambda: trainer.loss_and_grads(net, X, Y, head_loss)[0],
-                    params, flat_grads, rng,
+                    lambda: trainer.loss_and_grads(net, X, Y)[0], params, flat_grads, rng
                 ),
             )
         checks.append(
@@ -199,30 +197,47 @@ def suite_gradients(seed: int = 0) -> dict:
             )
         )
     # regularizers, skipping nearly repeated top singular values
-    worst = 0.0
+    worst_perlayer = 0.0
     count = 0
-    while count < 5:
+    while count < 20:
         w = rng.standard_normal((6, 6))
         sv = np.linalg.svd(w, compute_uv=False)
         if sv[0] - sv[1] < 1e-3:
             continue
         count += 1
         _, g = trainer.regularizer_perlayer(w, 0.01, 0.01)
-        worst = max(
-            worst,
+        worst_perlayer = max(
+            worst_perlayer,
             _finite_diff_ok(
                 lambda: trainer.regularizer_perlayer(w, 0.01, 0.01)[0],
                 [w], [g], rng,
             ),
         )
-    checks.append(
-        _check(
-            "per-layer regularizer gradient",
-            worst < 1e-3,
-            f"worst relative error {worst:.3e} (tolerance 1e-3)",
-            worst=worst,
+    worst_synthetic = 0.0
+    count = 0
+    while count < 20:
+        net = trainer.build_network([3, 3, 6], GaussianHead(), seed=int(rng.integers(1 << 30)))
+        svs = [np.linalg.svd(l.weight, compute_uv=False) for l in net.layers]
+        if any(s[0] - s[1] < 1e-3 for s in svs):
+            continue
+        count += 1
+        _, grads = trainer.regularizer_synthetic(net, 0.01)
+        worst_synthetic = max(
+            worst_synthetic,
+            _finite_diff_ok(
+                lambda: trainer.regularizer_synthetic(net, 0.01)[0],
+                [l.weight for l in net.layers], grads, rng,
+            ),
         )
-    )
+    for name, worst in (("per-layer", worst_perlayer), ("synthetic", worst_synthetic)):
+        checks.append(
+            _check(
+                f"{name} regularizer gradient",
+                worst < 1e-3,
+                f"worst relative error {worst:.3e} (tolerance 1e-3)",
+                worst=worst,
+            )
+        )
     return _verdict("gradients", checks)
 
 
@@ -266,7 +281,7 @@ def suite_kernels(seed: int = 0) -> dict:
     )
     rng = np.random.default_rng(seed)
     min_eig = math.inf
-    for _ in range(10):
+    for _ in range(50):
         d = int(rng.integers(1, 4))
         s = d / 2 + float(rng.uniform(0.1, 1.5))
         pts = rng.standard_normal((20, d)) * 2.0
@@ -283,11 +298,31 @@ def suite_kernels(seed: int = 0) -> dict:
     return _verdict("kernels", checks)
 
 
+def suite_orthogonal(seed: int = 0) -> dict:
+    """An orthogonal layer's Koopman factor is exactly 1 at every width: the
+    bound is independent of the width when the weights are orthogonal."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for k in range(200):
+        d = 2 + k % 7
+        for s in (d / 2 + 0.05, d / 2 + 1.0):
+            w = trainer.init_weight("orthogonal", d, d, rng)
+            worst = max(worst, abs(bounds_mod.koopman_layer_factor(w, s) - 1.0))
+    check = _check(
+        "orthogonal layer factor equals 1 at widths 2-8",
+        worst < 1e-9,
+        f"worst |factor-1| {worst:.3e} (tolerance 1e-9)",
+        worst=worst,
+    )
+    return _verdict("orthogonal", [check])
+
+
 SUITES = {
     "lemma1": suite_lemma1,
     "dominance": suite_dominance,
     "gradients": suite_gradients,
     "kernels": suite_kernels,
+    "orthogonal": suite_orthogonal,
 }
 
 

@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from koopbound import bounds, kernels, rademacher, trainer, verify
+from koopbound import bounds, trainer, verify
 from koopbound.cli import build_task, default_train_config
 from koopbound.matcore import LayerSpectrum
-from koopbound.network import GaussianHead, SoftmaxHead
+from koopbound.network import GaussianHead
 from koopbound.svgplot import pearson
 
 
@@ -24,29 +24,19 @@ def _report(capsys, index, ok, name, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _haar_orthogonal(rng, d):
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
-
-
 def _layer_q(weight):
     s = np.linalg.svd(weight, compute_uv=False)
     return math.log(float(s[0])) - 0.25 * float(np.sum(np.log1p(s**2)))
 
 
 def test_orthogonal_invariance(capsys):
-    rng = np.random.default_rng(0)
     t0 = time.time()
-    worst = 0.0
-    for k in range(200):
-        d = 2 + k % 7
-        for s in (d / 2 + 0.05, d / 2 + 1.0):
-            val = bounds.koopman_layer_factor(_haar_orthogonal(rng, d), s)
-            worst = max(worst, abs(val - 1.0))
-    ok = worst < 1e-9 and time.time() - t0 < 5.0
+    verdict = verify.suite_orthogonal(seed=0)
+    elapsed = time.time() - t0
+    worst = verdict["checks"][0]["values"]["worst"]
+    ok = verdict["passed"] and elapsed < 5.0
     _report(capsys, 1, ok, "orthogonal layer factor is exactly 1",
-            f"worst |factor-1| {worst:.2e} over 200 matrices, "
-            f"{time.time() - t0:.1f}s")
+            f"worst |factor-1| {worst:.2e} over 200 matrices, {elapsed:.1f}s")
 
 
 def test_density_ratio_dominance(capsys):
@@ -65,12 +55,7 @@ def test_mc_lower_bound_dominated(capsys):
     verdict = verify.suite_dominance(draws=2000, candidates=500, seeds=(0, 1, 2))
     elapsed = time.time() - t0
     ok = verdict["passed"] and elapsed < 120.0
-    margin = min(
-        float(c["detail"].split("upper=")[1]) - float(
-            c["detail"].split("lower=")[1].split(",")[0]
-        )
-        for c in verdict["checks"]
-    )
+    margin = min(c["values"]["upper"] - c["values"]["lower"] for c in verdict["checks"])
     _report(capsys, 3, ok, "MC complexity estimate below closed-form bound",
             f"all {len(verdict['checks'])} strict, min margin {margin:.4f}, "
             f"{elapsed:.1f}s")
@@ -96,91 +81,25 @@ def test_determinant_oracle(capsys):
 
 
 def test_kernel_constants(capsys):
-    from scipy import integrate
-
     t0 = time.time()
-    worst_b = 0.0
-    for d, s in ((1, 1.0), (2, 1.55), (3, 2.0)):
-        def radial(r, d=d, s=s):
-            area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
-            return area * r ** (d - 1) / (1.0 + r * r) ** s
-
-        quad_val, _ = integrate.quad(radial, 0.0, np.inf)
-        closed = kernels.kernel_trace_bound(d, s) ** 2
-        worst_b = max(worst_b, abs(closed - quad_val) / quad_val)
-    worst_k = max(
-        abs(kernels.sobolev_kernel([0.0], [r], 1, 1.0) - math.pi * math.exp(-r))
-        / (math.pi * math.exp(-r))
-        for r in np.linspace(0.05, 5.0, 20)
-    )
-    rng = np.random.default_rng(3)
-    min_eig = math.inf
-    for _ in range(50):
-        d = int(rng.integers(1, 4))
-        s = d / 2 + float(rng.uniform(0.1, 1.5))
-        pts = rng.standard_normal((20, d)) * 2.0
-        gram = kernels.sobolev_gram(pts, s)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(gram)[0]))
+    verdict = verify.suite_kernels(seed=3)
     elapsed = time.time() - t0
-    ok = worst_b < 1e-6 and worst_k < 1e-6 and min_eig >= -1e-8 and elapsed < 30.0
+    diag, _, form, gram = (c["values"] for c in verdict["checks"])
+    ok = verdict["passed"] and elapsed < 30.0
     _report(capsys, 5, ok, "kernel constants vs quadrature, Gram PSD",
-            f"diag rel {worst_b:.2e}, d=1 form rel {worst_k:.2e}, "
-            f"min Gram eig {min_eig:.2e}, {elapsed:.1f}s")
+            f"diag rel {diag['worst']:.2e}, d=1 form rel {form['worst']:.2e}, "
+            f"min Gram eig {gram['min_eigenvalue']:.2e}, {elapsed:.1f}s")
 
 
 def test_gradient_correctness(capsys):
-    rng = np.random.default_rng(11)
     t0 = time.time()
-    worst_loss = 0.0
-    for widths, head, head_loss in (
-        ([3, 3, 6], GaussianHead(), "squared"),
-        ([64, 128, 128, 10], SoftmaxHead(), "cross_entropy"),
-    ):
-        for _ in range(20):
-            net = trainer.build_network(widths, head, seed=int(rng.integers(1 << 30)))
-            for layer in net.layers:
-                layer.bias = rng.standard_normal(layer.bias.shape) * 0.3
-            X = rng.standard_normal((8, widths[0]))
-            Y = (rng.random(8) if head_loss == "squared"
-                 else rng.integers(0, widths[-1], size=8))
-            _, grads = trainer.loss_and_grads(net, X, Y, head_loss)
-            params = [l.weight for l in net.layers] + [l.bias for l in net.layers]
-            flat = [g[0] for g in grads] + [g[1] for g in grads]
-            worst_loss = max(worst_loss, verify._finite_diff_ok(
-                lambda: trainer.loss_and_grads(net, X, Y, head_loss)[0],
-                params, flat, rng,
-            ))
-    worst_reg = 0.0
-    count = 0
-    while count < 20:
-        w = rng.standard_normal((6, 6))
-        sv = np.linalg.svd(w, compute_uv=False)
-        if sv[0] - sv[1] < 1e-3:
-            continue
-        count += 1
-        _, g = trainer.regularizer_perlayer(w, 0.01, 0.01)
-        worst_reg = max(worst_reg, verify._finite_diff_ok(
-            lambda: trainer.regularizer_perlayer(w, 0.01, 0.01)[0],
-            [w], [g], rng,
-        ))
-    count = 0
-    while count < 20:
-        net = trainer.build_network([3, 3, 6], GaussianHead(),
-                                    seed=int(rng.integers(1 << 30)))
-        svs = [np.linalg.svd(l.weight, compute_uv=False) for l in net.layers]
-        if any(s[0] - s[1] < 1e-3 for s in svs):
-            continue
-        count += 1
-        _, grads = trainer.regularizer_synthetic(net, 0.01)
-        worst_reg = max(worst_reg, verify._finite_diff_ok(
-            lambda: trainer.regularizer_synthetic(net, 0.01)[0],
-            [l.weight for l in net.layers], grads, rng,
-        ))
+    verdict = verify.suite_gradients(seed=11)
     elapsed = time.time() - t0
-    ok = worst_loss < 1e-4 and worst_reg < 1e-3 and elapsed < 60.0
+    worst = [c["values"]["worst"] for c in verdict["checks"]]
+    ok = verdict["passed"] and elapsed < 60.0
     _report(capsys, 6, ok, "analytic gradients vs finite differences",
-            f"loss rel {worst_loss:.2e} (<1e-4), regularizers rel "
-            f"{worst_reg:.2e} (<1e-3), {elapsed:.1f}s")
+            f"loss rel {max(worst[:2]):.2e} (<1e-4), regularizers rel "
+            f"{max(worst[2:]):.2e} (<1e-3), {elapsed:.1f}s")
 
 
 @pytest.mark.slow

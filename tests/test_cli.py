@@ -620,6 +620,8 @@ SOFTMAX_PATHS_SCRIPT = textwrap.dedent("""
             cli.main(["inspect", path]),
             cli.main(["bound", gaussian_path, "--n", "1500"]),
             cli.main(["inspect", gaussian_path]),
+            cli.main(["verify", "--suite", "lemma1"]),
+            cli.main(["verify", "--suite", "orthogonal"]),
         ]
         scipy_after_bound = sorted(
             m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -635,10 +637,11 @@ SOFTMAX_PATHS_SCRIPT = textwrap.dedent("""
 
 
 def test_softmax_commands_do_not_load_quadrature(tmp_path):
-    """bound and inspect, on a softmax-head and on a Gaussian-head net, import
-    no scipy module at all, and digits training never imports scipy.integrate,
-    nor the optimize and sparse packages it pulls in; the Gaussian-head norm
-    computed in that process equals this one's."""
+    """bound and inspect, on a softmax-head and on a Gaussian-head net, and
+    verify --suite lemma1 and orthogonal import no scipy module at all;
+    digits training never imports scipy.integrate, nor the optimize and
+    sparse packages it pulls in; the Gaussian-head norm computed in that
+    process equals this one's."""
     path, gaussian_path = tmp_path / "net.json", tmp_path / "gaussian.json"
     weightio.save_weights(_digits_net(), path)
     weightio.save_weights(build_network([3, 3, 6], GaussianHead(), seed=2), gaussian_path)
@@ -650,7 +653,7 @@ def test_softmax_commands_do_not_load_quadrature(tmp_path):
         capture_output=True, text=True, env=env, check=True, timeout=300,
     )
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0, 0, 0, 0, 0]
+    assert doc["codes"] == [0] * 7
     assert doc["scipy_after_bound"] == []
     assert doc["loaded"] == []
     expected = bounds.default_constants(build_network([3, 3, 6], GaussianHead(), seed=0), 100)

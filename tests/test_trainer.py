@@ -88,12 +88,12 @@ class TestForward:
         assert np.allclose(batch, singles)
 
 
-def _loss_of_weights(net, X, Y, head_loss):
+def _loss_of_weights(net, X, Y):
     def fn(layer_idx):
         def inner(w):
             old = net.layers[layer_idx].weight
             net.layers[layer_idx].weight = w
-            val, _ = loss_and_grads(net, X, Y, head_loss)
+            val, _ = loss_and_grads(net, X, Y)
             net.layers[layer_idx].weight = old
             return val
 
@@ -103,20 +103,22 @@ def _loss_of_weights(net, X, Y, head_loss):
 
 
 class TestLossGradients:
-    @pytest.mark.parametrize("widths,head,head_loss", [
+    # the head fixes the loss; `loss` only picks real targets or integer labels
+    @pytest.mark.parametrize("widths,head,loss", [
         ([3, 3, 6], GaussianHead(), "squared"),
         ([4, 6, 5], SoftmaxHead(), "cross_entropy"),
+        ([6, 8, 8, 4], GaussianHead(), "squared"),
     ])
-    def test_weight_gradients_match_finite_differences(self, widths, head, head_loss):
+    def test_weight_gradients_match_finite_differences(self, widths, head, loss):
         rng = np.random.default_rng(11)
         net = build_network(widths, head, seed=7)
         X = rng.standard_normal((12, widths[0]))
-        if head_loss == "squared":
+        if loss == "squared":
             Y = synthetic_target(X) if widths[0] == 3 else rng.random(12)
         else:
             Y = rng.integers(0, widths[-1], size=12)
-        _, grads = loss_and_grads(net, X, Y, head_loss)
-        make_fn = _loss_of_weights(net, X, Y, head_loss)
+        _, grads = loss_and_grads(net, X, Y)
+        make_fn = _loss_of_weights(net, X, Y)
         for j in range(len(net.layers)):
             num = oracles.central_difference(make_fn(j), net.layers[j].weight.copy())
             assert np.allclose(grads[j][0], num, rtol=1e-5, atol=1e-7)
@@ -126,12 +128,12 @@ class TestLossGradients:
         net = build_network([3, 4, 2], SoftmaxHead(), seed=3)
         X = rng.standard_normal((9, 3))
         Y = rng.integers(0, 2, size=9)
-        _, grads = loss_and_grads(net, X, Y, "cross_entropy")
+        _, grads = loss_and_grads(net, X, Y)
         for j, layer in enumerate(net.layers):
             def fn(b, j=j, layer=layer):
                 old = layer.bias
                 layer.bias = b
-                val, _ = loss_and_grads(net, X, Y, "cross_entropy")
+                val, _ = loss_and_grads(net, X, Y)
                 layer.bias = old
                 return val
 
@@ -142,11 +144,6 @@ class TestLossGradients:
         net = build_network([3, 3, 6], GaussianHead(), seed=0)
         with pytest.raises(TrainerError):
             loss_and_grads(net, np.empty((0, 3)), np.empty(0))
-
-    def test_cross_entropy_needs_softmax_head(self):
-        net = build_network([3, 3, 6], GaussianHead(), seed=0)
-        with pytest.raises(TrainerError):
-            loss_and_grads(net, np.ones((2, 3)), np.array([0, 1]), "cross_entropy")
 
     def test_head_without_loss_fails_setup(self):
         net = build_network([3, 3, 6], CustomHead("poly"), seed=0)
@@ -160,26 +157,6 @@ class TestLossGradients:
         )
         with pytest.raises(TrainerError):
             loss_and_grads(net, np.ones((2, 3)), np.array([0.5, 0.5]))
-
-    def test_mismatched_head_rejected(self):
-        net = build_network([3, 4, 2], SoftmaxHead(), seed=0)
-        with pytest.raises(TrainerError):
-            loss_and_grads(net, np.ones((2, 3)), np.array([0.5, 0.5]), "squared")
-
-    @pytest.mark.parametrize("widths,head,head_loss", [
-        ([3, 4, 2], SoftmaxHead(), "cross_entropy"),
-        ([3, 3, 6], GaussianHead(), "squared"),
-    ])
-    def test_default_loss_follows_head(self, widths, head, head_loss):
-        net = build_network(widths, head, seed=3)
-        rng = np.random.default_rng(3)
-        X = rng.random((5, 3))
-        Y = rng.integers(0, 2, 5) if head_loss == "cross_entropy" else rng.random(5)
-        loss, grads = loss_and_grads(net, X, Y)
-        loss_named, grads_named = loss_and_grads(net, X, Y, head_loss)
-        assert loss == loss_named
-        for (gw, gb), (nw, nb) in zip(grads, grads_named):
-            assert np.array_equal(gw, nw) and np.array_equal(gb, nb)
 
 
 class TestPerLayerRegularizer:
@@ -562,15 +539,13 @@ class TestEpochEvaluation:
             net = build_network([8, 12, 4], SoftmaxHead(), seed=2)
             cfg = TrainConfig(epochs=3, learning_rate=0.01, optimizer="adam",
                               regularizer="perlayer", batch_size=32)
-            head_loss = "cross_entropy"
         else:
             data = make_synthetic(200, seed=1)
             net = build_network([3, 3, 6], GaussianHead(), seed=1)
             cfg = TrainConfig(epochs=3, regularizer="synthetic", batch_size=50)
-            head_loss = "squared"
         run = train(cfg, data, net, classification=classify)
         last = run.metrics[-1]
-        loss, _ = loss_and_grads(run.net, data.inputs, data.targets, head_loss)
+        loss, _ = loss_and_grads(run.net, data.inputs, data.targets)
         assert last.train_loss == loss
         assert last.gen_error == oracles.gen_error_estimate(run.net, data)
         if classify:

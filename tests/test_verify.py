@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from koopbound import rademacher, verify
+from koopbound import rademacher, trainer, verify
 from koopbound.bounds import density_ratio_bound
 from koopbound.matcore import InvalidParameterError, LayerSpectrum
 from koopbound.verify import (
@@ -16,12 +16,13 @@ from koopbound.verify import (
     suite_gradients,
     suite_kernels,
     suite_lemma1,
+    suite_orthogonal,
 )
 
 
 class TestSuiteRegistry:
     def test_known_suites(self):
-        assert set(SUITES) == {"lemma1", "dominance", "gradients", "kernels"}
+        assert set(SUITES) == {"lemma1", "dominance", "gradients", "kernels", "orthogonal"}
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(KeyError):
@@ -43,6 +44,11 @@ class TestLemma1Suite:
         failing = [c for c in verdict["checks"] if not c["passed"]]
         assert failing
         assert any("grid sup" in c["name"] or "dominates" in c["name"] for c in failing)
+
+    @pytest.mark.parametrize("num_matrices", [0, -3])
+    def test_no_matrices_rejected(self, num_matrices):
+        with pytest.raises(ValueError, match="num_matrices"):
+            suite_lemma1(num_matrices=num_matrices, seed=0)
 
 
 class TestDensityRatio:
@@ -71,6 +77,33 @@ class TestKernelsSuite:
     def test_passes(self):
         verdict = suite_kernels(seed=1)
         assert verdict["passed"]
+
+
+class TestOrthogonalSuite:
+    def test_passes(self):
+        verdict = suite_orthogonal(seed=1)
+        assert verdict["passed"]
+        assert verdict["checks"][0]["values"]["worst"] < 1e-12
+
+    def test_injected_corruption_fails(self, monkeypatch):
+        real = verify.bounds_mod.koopman_layer_factor
+        monkeypatch.setattr(verify.bounds_mod, "koopman_layer_factor",
+                            lambda w, s: real(w, s) * (1 + 1e-6))
+        assert not suite_orthogonal()["passed"]
+
+
+class TestGradientsSuite:
+    def test_corrupted_synthetic_regularizer_gradient_fails(self, monkeypatch):
+        real = trainer.regularizer_synthetic
+
+        def corrupted(net, lam):
+            value, grads = real(net, lam)
+            return value, [g * 1.01 for g in grads]
+
+        monkeypatch.setattr(trainer, "regularizer_synthetic", corrupted)
+        verdict = suite_gradients()
+        failing = [c["name"] for c in verdict["checks"] if not c["passed"]]
+        assert failing == ["synthetic regularizer gradient"]
 
 
 class TestDominanceSuite:
@@ -143,6 +176,7 @@ class TestCheckValues:
             "dominance": suite_dominance(draws=3, candidates=20, seeds=(0,)),
             "gradients": suite_gradients(),
             "kernels": suite_kernels(),
+            "orthogonal": suite_orthogonal(),
         }
         names = {
             suite: [sorted(c["values"]) for c in v["checks"]] for suite, v in verdicts.items()
@@ -150,8 +184,9 @@ class TestCheckValues:
         assert names == {
             "lemma1": [["worst_gap"], ["worst_cover"]],
             "dominance": [["lower", "upper"]] * 2,
-            "gradients": [["worst"]] * 3,
+            "gradients": [["worst"]] * 4,
             "kernels": [["worst"], ["worst"], ["worst"], ["min_eigenvalue"]],
+            "orthogonal": [["worst"]],
         }
         for verdict in verdicts.values():
             for check in verdict["checks"]:
