@@ -427,7 +427,7 @@ class BoundReport:
     inapplicable: dict[str, str]
     combined_l_star: int | None
     combined_per_l: list[tuple[int, float | None]]
-    matrix_factor: float  # constants-free spectral product; +inf if a layer is rank deficient
+    matrix_factor: float  # constants-free spectral product; +inf if rank deficient or past float64
     metadata: dict
 
     def to_json_dict(self) -> dict:
@@ -535,7 +535,7 @@ def full_report(net: NetworkSpec, c: BoundConstants) -> BoundReport:
         inapplicable=inapplicable,
         combined_l_star=l_star,
         combined_per_l=per_l,
-        matrix_factor=math.inf if log_matrix is None else math.exp(log_matrix),
+        matrix_factor=math.inf if log_matrix is None else _exp_or_inf(log_matrix),
         metadata={
             "n": c.n,
             "B": c.B,

@@ -392,7 +392,9 @@ class TestInspectCommand:
 ])
 def test_extreme_smoothness_order_exits_2_with_one_line(tmp_path, capsys, s, message):
     """An s of Infinity (which json accepts) fails validation; s = 1e300 is
-    valid but its Gaussian-head norm is beyond float64.  No warning either way."""
+    valid but its Gaussian-head norm is beyond float64, so `bound` fails,
+    while `inspect`, whose table holds no bound, prints both rows.  No
+    warning either way."""
     doc = weightio.network_to_json_dict(build_network([3, 3, 6], GaussianHead(), seed=0))
     doc["layers"][-1]["s"] = s
     path = tmp_path / "net.json"
@@ -400,8 +402,13 @@ def test_extreme_smoothness_order_exits_2_with_one_line(tmp_path, capsys, s, mes
     for argv in (("bound", str(path), "--n", "100"), ("inspect", str(path))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(*argv) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
+            code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        if argv[0] == "inspect" and math.isfinite(s):
+            assert code == cli.EXIT_OK and err == ""
+            assert [line.split()[0] for line in out.splitlines()[1:]] == ["1", "2"]
+            continue
+        assert code == cli.EXIT_USAGE
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 

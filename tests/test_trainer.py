@@ -157,6 +157,8 @@ class TestLossGradients:
         )
         with pytest.raises(TrainerError):
             loss_and_grads(net, np.ones((2, 3)), np.array([0.5, 0.5]))
+        with pytest.raises(TrainerError):
+            forward(net, np.ones((2, 3)))
 
 
 class TestPerLayerRegularizer:
@@ -252,6 +254,13 @@ class TestBitExactReferences:
             assert gw.shape == rw.shape and gb.shape == rb.shape
             assert np.array_equal(_bits(gw), _bits(rw))
             assert np.array_equal(_bits(gb), _bits(rb))
+
+    @pytest.mark.parametrize("task,batch", [("synthetic", 100), ("digits", 32)])
+    def test_loss_equals_value_only_pass(self, task, batch):
+        # the training pass and the evaluation pass are separate loops
+        net, X, Y = _perturbed_task(task, batch)
+        loss, _ = loss_and_grads(net, X, Y)
+        assert loss.hex() == trainer_mod._mean_loss(net.head, forward(net, X), Y).hex()
 
     def test_regularizer_synthetic(self):
         net, _, _ = _perturbed_task("synthetic", 100)
