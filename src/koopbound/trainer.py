@@ -147,8 +147,8 @@ def loss_and_grads(net: NetworkSpec, X, Y):
 # regularizers
 
 
-def regularizer_synthetic(net: NetworkSpec, lam: float):
-    """lam * (prod_j det(W_j^T W_j)^(-1/2) + 10 prod_j ||W_j||) with gradients.
+def regularizer_synthetic(net: NetworkSpec):
+    """REG_LAMBDA * (prod_j det(W_j^T W_j)^(-1/2) + 10 prod_j ||W_j||) with gradients.
 
     The determinant term's layer gradient is
     -det(W^T W)^(-1/2) W (W^T W)^(-1) scaled by the other layers' factors;
@@ -177,7 +177,7 @@ def regularizer_synthetic(net: NetworkSpec, lam: float):
     if det_prod == 0.0:  # the other layers' factors below divide by it
         raise DivergenceError("determinant term of the synthetic regularizer underflows")
     op_prod = math.prod(ops)
-    value = lam * (det_prod + 10.0 * op_prod)
+    value = REG_LAMBDA * (det_prod + 10.0 * op_prod)
     grads = []
     for j, (u, s, vt) in enumerate(svds):
         other_det = det_prod / det_inv[j]
@@ -185,20 +185,20 @@ def regularizer_synthetic(net: NetworkSpec, lam: float):
         # d det(W^T W)^(-1/2) / dW = -det^(-1/2) W (W^T W)^(-1) = -det^(-1/2) U S^(-1) V^T
         g_det = -det_inv[j] * (u / s) @ vt
         g_op = u[:, :1] * vt[:1]  # the outer product u1 v1^T
-        grads.append(lam * (other_det * g_det + 10.0 * other_op * g_op))
+        grads.append(REG_LAMBDA * (other_det * g_det + 10.0 * other_op * g_op))
     return value, grads
 
 
-def regularizer_perlayer(w, lam1: float, lam2: float):
-    """lam1 ||W|| + lam2 / det(I + W^T W), value and gradient for one matrix."""
+def regularizer_perlayer(w):
+    """REG_LAMBDA (||W|| + 1 / det(I + W^T W)), value and gradient for one matrix."""
     w = np.asarray(w, dtype=float)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     log_det = float(log1p_square(s).sum())
     det_inv = math.exp(-log_det)
-    value = lam1 * float(s[0]) + lam2 * det_inv
+    value = REG_LAMBDA * float(s[0]) + REG_LAMBDA * det_inv
     # d det(I + W^T W)^(-1) / dW = -det^(-1) * 2 W (I + W^T W)^(-1)
-    g = lam1 * (u[:, :1] * vt[:1])
-    g += -lam2 * det_inv * 2.0 * (u * (s / (1.0 + s ** 2))) @ vt
+    g = REG_LAMBDA * (u[:, :1] * vt[:1])
+    g += -REG_LAMBDA * det_inv * 2.0 * (u * (s / (1.0 + s ** 2))) @ vt
     return value, g
 
 
@@ -430,12 +430,14 @@ def _keep_freed_heap() -> None:
     glibc's default thresholds they are mmapped, or trimmed off the heap
     top, and page-faulted back in every epoch.  Serving them from a heap
     that may keep 32 MB free removes those faults: minor faults per epoch
-    (`resource.getrusage`, medians of 10 alternating fresh-process pairs
-    on a 2-vCPU Linux host) go from 252 to 0.74 on the synthetic task
-    (400 epochs, 3.77 -> 3.19 ms per epoch, faster in 9 of 10 pairs) and
-    from 1 836 to 7.7 on regularized digits (10 epochs, time unchanged).
-    This sets the thresholds for the whole process; without glibc it does
-    nothing.
+    (`resource.getrusage`, medians of 20 alternating fresh-process pairs
+    on a 2-vCPU Linux host, after a 2-epoch warm-up) go from 252 to 0.74
+    on the synthetic task (400 epochs) and from 1 842 to 7.9 on
+    unregularized digits (10 epochs), peak RSS within 0.1 MB; the epoch
+    times moved within that host's noise (faster with the setting in 13
+    and 12 of 20 pairs).  Evaluating in row blocks instead avoids the
+    faults only through glibc's dynamic mmap threshold.  This sets the
+    thresholds for the whole process; without glibc it does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -450,12 +452,12 @@ def _keep_freed_heap() -> None:
 def _apply_regularizer(net: NetworkSpec, config: TrainConfig, grads) -> None:
     """Add the regularizer's weight gradients to the loss gradients in place."""
     if config.regularizer == "synthetic":
-        _, reg_grads = regularizer_synthetic(net, REG_LAMBDA)
+        _, reg_grads = regularizer_synthetic(net)
         for (gw, _), rg in zip(grads, reg_grads):
             gw += rg
     elif config.regularizer == "perlayer":
         for idx in REG_LAYERS:
-            _, g = regularizer_perlayer(net.layers[idx - 1].weight, REG_LAMBDA, REG_LAMBDA)
+            _, g = regularizer_perlayer(net.layers[idx - 1].weight)
             grads[idx - 1][0][:] += g
 
 
@@ -526,39 +528,41 @@ def train(
             v += (1.0 - ADAM_BETA2) * grad * grad
             param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
-    for epoch in range(1, config.epochs + 1):
-        lr = config.learning_rate * config.lr_decay ** max(
-            0, epoch - config.lr_decay_start
-        )
-        try:
-            if config.batch_size is None:
-                step(dataset.inputs, dataset.targets)
-            else:
-                order = rng.permutation(n)
-                for start in range(0, n, config.batch_size):
-                    idx = order[start : start + config.batch_size]
-                    step(dataset.inputs[idx], dataset.targets[idx])
-            train_out = forward(net, dataset.inputs)
-            held_out = forward(net, dataset.held_inputs)
-            train_loss = _mean_loss(net.head, train_out, dataset.targets)
-            held_loss = _mean_loss(net.head, held_out, dataset.held_targets)
-            report = bounds_mod.full_report(net, constants)
-            test_acc = _accuracy(held_out, dataset.held_targets) if classification else None
-            snap = diagnostics.snapshot(report, epoch, test_metric=test_acc)
-        except (DivergenceError, OverflowError, NotFiniteError, RankDeficientError):
-            diverged = True
-            break
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                train_loss=train_loss,
-                gen_error=abs(held_loss - train_loss),
-                matrix_factor=report.matrix_factor,
-                bound_totals=dict(report.totals),
-                test_accuracy=test_acc,
+    # overflow and NaN are caught below, each as a divergence, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            lr = config.learning_rate * config.lr_decay ** max(
+                0, epoch - config.lr_decay_start
             )
-        )
-        spectrum.append(snap)
+            try:
+                if config.batch_size is None:
+                    step(dataset.inputs, dataset.targets)
+                else:
+                    order = rng.permutation(n)
+                    for start in range(0, n, config.batch_size):
+                        idx = order[start : start + config.batch_size]
+                        step(dataset.inputs[idx], dataset.targets[idx])
+                train_out = forward(net, dataset.inputs)
+                held_out = forward(net, dataset.held_inputs)
+                train_loss = _mean_loss(net.head, train_out, dataset.targets)
+                held_loss = _mean_loss(net.head, held_out, dataset.held_targets)
+                report = bounds_mod.full_report(net, constants)
+                test_acc = _accuracy(held_out, dataset.held_targets) if classification else None
+                snap = diagnostics.snapshot(report, epoch, test_metric=test_acc)
+            except (DivergenceError, OverflowError, NotFiniteError, RankDeficientError):
+                diverged = True
+                break
+            metrics.append(
+                EpochMetrics(
+                    epoch=epoch,
+                    train_loss=train_loss,
+                    gen_error=abs(held_loss - train_loss),
+                    matrix_factor=report.matrix_factor,
+                    bound_totals=dict(report.totals),
+                    test_accuracy=test_acc,
+                )
+            )
+            spectrum.append(snap)
 
     return TrainRun(
         config=config, metrics=metrics, net=net, spectrum=spectrum,

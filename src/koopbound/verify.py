@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,12 @@ def _check(name: str, passed: bool, detail: str, **values: float) -> dict:
         "detail": detail,
         "values": {k: float(v) if math.isfinite(v) else None for k, v in values.items()},
     }
+
+
+def _worst_check(name: str, what: str, worst: float, tol: str) -> dict:
+    """The check "worst `what` below `tol`", with `worst` as its one value."""
+    return _check(name, worst < float(tol), f"worst {what} {worst:.3e} (tolerance {tol})",
+                  worst=worst)
 
 
 def _verdict(suite: str, checks: list[dict]) -> dict:
@@ -63,15 +70,14 @@ def density_ratio_grid_sup(w, s_prev: float, s_cur: float) -> float:
     return best
 
 
-def suite_lemma1(num_matrices: int = 100, seed: int = 0) -> dict:
-    """Sampled density-ratio suprema never exceed the closed form."""
-    if num_matrices < 1:
-        raise ValueError(f"num_matrices must be >= 1, got {num_matrices}")
+def suite_lemma1(seed: int = 0) -> dict:
+    """Sampled density-ratio suprema never exceed the closed form, over 100
+    random square maps."""
     rng = np.random.default_rng(seed)
     checks = []
     worst_gap = -math.inf
     worst_cover = math.inf
-    for i in range(num_matrices):
+    for _ in range(100):
         d = int(rng.integers(2, 7))
         w = rng.standard_normal((d, d))
         target = float(rng.uniform(0.1, 10.0))
@@ -143,6 +149,7 @@ def suite_dominance(
 
 _FD_STEP = 1e-5
 _FD_COORDS_PER_TENSOR = 12
+_FD_CASES = 20
 
 
 def _finite_diff_ok(value_fn, params, grads, rng):
@@ -167,77 +174,67 @@ def _finite_diff_ok(value_fn, params, grads, rng):
     return worst
 
 
+def _worst_fd_error(draw, rng, skip_tied: bool) -> float:
+    """Worst `_finite_diff_ok` error over `_FD_CASES` cases.
+
+    `draw()` returns a case as (params, objective), `objective()` giving the
+    value and the gradients of `params`.  With `skip_tied`, a case in which
+    some param's top two singular values lie within 1e-3, where the norm's
+    subgradient u1 v1^T is no gradient, is dropped uncounted."""
+    worst = 0.0
+    count = 0
+    while count < _FD_CASES:
+        params, objective = draw()
+        sigmas = (matcore.LayerSpectrum.of(p).sigma for p in params) if skip_tied else ()
+        if any(s[0] - s[1] < 1e-3 for s in sigmas):
+            continue
+        count += 1
+        _, grads = objective()
+        worst = max(worst, _finite_diff_ok(lambda: objective()[0], params, grads, rng))
+    return worst
+
+
 def suite_gradients(seed: int = 0) -> dict:
     """Analytic loss/regularizer gradients vs central finite differences."""
     rng = np.random.default_rng(seed)
-    checks = []
-    for widths, head in (([3, 3, 6], GaussianHead()), ([64, 128, 128, 10], SoftmaxHead())):
-        worst = 0.0
-        for _ in range(20):
-            net = trainer.build_network(widths, head, seed=int(rng.integers(1 << 30)))
-            for layer in net.layers:
-                layer.bias = rng.standard_normal(layer.bias.shape) * 0.3
-            X = rng.standard_normal((8, widths[0]))
-            Y = rng.random(8) if isinstance(head, GaussianHead) else rng.integers(0, widths[-1], 8)
-            _, grads = trainer.loss_and_grads(net, X, Y)
-            params = [l.weight for l in net.layers] + [l.bias for l in net.layers]
-            flat_grads = [g[0] for g in grads] + [g[1] for g in grads]
-            worst = max(
-                worst,
-                _finite_diff_ok(
-                    lambda: trainer.loss_and_grads(net, X, Y)[0], params, flat_grads, rng
-                ),
-            )
-        checks.append(
-            _check(
-                f"loss gradients {widths}",
-                worst < 1e-4,
-                f"worst relative error {worst:.3e} (tolerance 1e-4)",
-                worst=worst,
-            )
-        )
-    # regularizers, skipping nearly repeated top singular values
-    worst_perlayer = 0.0
-    count = 0
-    while count < 20:
+
+    def loss_case(widths, head):
+        net = trainer.build_network(widths, head, seed=int(rng.integers(1 << 30)))
+        for layer in net.layers:
+            layer.bias = rng.standard_normal(layer.bias.shape) * 0.3
+        X = rng.standard_normal((8, widths[0]))
+        Y = rng.random(8) if isinstance(head, GaussianHead) else rng.integers(0, widths[-1], 8)
+
+        def objective():  # the gradients in the order of the params: weights, then biases
+            loss, grads = trainer.loss_and_grads(net, X, Y)
+            return loss, [g for pair in zip(*grads) for g in pair]
+
+        return [l.weight for l in net.layers] + [l.bias for l in net.layers], objective
+
+    def perlayer_case():
         w = rng.standard_normal((6, 6))
-        sv = matcore.LayerSpectrum.of(w).sigma
-        if sv[0] - sv[1] < 1e-3:
-            continue
-        count += 1
-        _, g = trainer.regularizer_perlayer(w, 0.01, 0.01)
-        worst_perlayer = max(
-            worst_perlayer,
-            _finite_diff_ok(
-                lambda: trainer.regularizer_perlayer(w, 0.01, 0.01)[0],
-                [w], [g], rng,
-            ),
-        )
-    worst_synthetic = 0.0
-    count = 0
-    while count < 20:
+
+        def objective():
+            value, g = trainer.regularizer_perlayer(w)
+            return value, [g]
+
+        return [w], objective
+
+    def synthetic_case():
         net = trainer.build_network([3, 3, 6], GaussianHead(), seed=int(rng.integers(1 << 30)))
-        svs = [matcore.LayerSpectrum.of(l.weight).sigma for l in net.layers]
-        if any(s[0] - s[1] < 1e-3 for s in svs):
-            continue
-        count += 1
-        _, grads = trainer.regularizer_synthetic(net, 0.01)
-        worst_synthetic = max(
-            worst_synthetic,
-            _finite_diff_ok(
-                lambda: trainer.regularizer_synthetic(net, 0.01)[0],
-                [l.weight for l in net.layers], grads, rng,
-            ),
-        )
-    for name, worst in (("per-layer", worst_perlayer), ("synthetic", worst_synthetic)):
-        checks.append(
-            _check(
-                f"{name} regularizer gradient",
-                worst < 1e-3,
-                f"worst relative error {worst:.3e} (tolerance 1e-3)",
-                worst=worst,
-            )
-        )
+        return [l.weight for l in net.layers], lambda: trainer.regularizer_synthetic(net)
+
+    cases = [
+        (f"loss gradients {widths}", partial(loss_case, widths, head), False, "1e-4")
+        for widths, head in (([3, 3, 6], GaussianHead()), ([64, 128, 128, 10], SoftmaxHead()))
+    ] + [
+        ("per-layer regularizer gradient", perlayer_case, True, "1e-3"),
+        ("synthetic regularizer gradient", synthetic_case, True, "1e-3"),
+    ]
+    checks = [
+        _worst_check(name, "relative error", _worst_fd_error(draw, rng, skip_tied), tol)
+        for name, draw, skip_tied, tol in cases
+    ]
     return _verdict("gradients", checks)
 
 
@@ -264,20 +261,14 @@ def suite_kernels(seed: int = 0) -> dict:
         worst_head = max(worst_head, abs(kernels.gaussian_head_norm(d, s, c) ** 2 / quad_val - 1))
     for name, err, tol in (("kernel diagonal closed form", worst, "1e-6"),
                            ("Gaussian-head norm", worst_head, "1e-10")):
-        checks.append(_check(f"{name} vs radial quadrature", err < float(tol),
-                             f"worst relative error {err:.3e} (tolerance {tol})", worst=err))
+        checks.append(_worst_check(f"{name} vs radial quadrature", "relative error", err, tol))
     worst = 0.0
     for r in np.linspace(0.05, 5.0, 20):
         val = kernels.sobolev_kernel([0.0], [r], 1, 1.0)
         ref = math.pi * math.exp(-r)
         worst = max(worst, abs(val - ref) / ref)
     checks.append(
-        _check(
-            "d=1 s=1 kernel equals pi*exp(-|x-y|)",
-            worst < 1e-6,
-            f"worst relative error {worst:.3e} (tolerance 1e-6)",
-            worst=worst,
-        )
+        _worst_check("d=1 s=1 kernel equals pi*exp(-|x-y|)", "relative error", worst, "1e-6")
     )
     rng = np.random.default_rng(seed)
     min_eig = math.inf
@@ -308,12 +299,8 @@ def suite_orthogonal(seed: int = 0) -> dict:
         for s in (d / 2 + 0.05, d / 2 + 1.0):
             w = trainer.init_weight("orthogonal", d, d, rng)
             worst = max(worst, abs(bounds_mod.koopman_layer_factor(w, s) - 1.0))
-    check = _check(
-        "orthogonal layer factor equals 1 at widths 2-8",
-        worst < 1e-9,
-        f"worst |factor-1| {worst:.3e} (tolerance 1e-9)",
-        worst=worst,
-    )
+    check = _worst_check("orthogonal layer factor equals 1 at widths 2-8", "|factor-1|", worst,
+                         "1e-9")
     return _verdict("orthogonal", [check])
 
 

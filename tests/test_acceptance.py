@@ -41,7 +41,7 @@ def test_orthogonal_invariance(capsys):
 
 def test_density_ratio_dominance(capsys):
     t0 = time.time()
-    verdict = verify.suite_lemma1(num_matrices=100, seed=0)
+    verdict = verify.suite_lemma1(seed=0)
     elapsed = time.time() - t0
     ok = verdict["passed"] and elapsed < 30.0
     detail = "; ".join(c["detail"] for c in verdict["checks"])

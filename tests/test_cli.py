@@ -829,11 +829,11 @@ class TestTrainCommand:
         real = trainer.regularizer_synthetic
         calls = []
 
-        def collapsing(net, lam):
+        def collapsing(net):
             calls.append(1)
             if len(calls) > 15:  # 10 steps per epoch: mid epoch 2
                 raise RankDeficientError("layer 1 is numerically singular", sigma_min=0.0)
-            return real(net, lam)
+            return real(net)
 
         monkeypatch.setattr(trainer, "regularizer_synthetic", collapsing)
         out = tmp_path / "run"

@@ -1,13 +1,15 @@
 """Training loop, gradients, regularizers, datasets, and initialization."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from koopbound import trainer as trainer_mod
-from koopbound.cli import build_task
+from koopbound.cli import build_task, default_train_config
 from koopbound.matcore import RankDeficientError
 from koopbound.network import (
     CustomActivation,
@@ -17,6 +19,7 @@ from koopbound.network import (
     SoftmaxHead,
 )
 from koopbound.trainer import (
+    REG_LAMBDA,
     Dataset,
     TrainConfig,
     TrainerError,
@@ -163,15 +166,15 @@ class TestLossGradients:
 
 class TestPerLayerRegularizer:
     def test_zero_matrix_value(self):
-        # ||0|| = 0 and det(I + 0) = 1, so the value is exactly lam2
-        val, _ = regularizer_perlayer(np.zeros((4, 3)), lam1=0.3, lam2=0.7)
-        assert val == pytest.approx(0.7)
+        # ||0|| = 0 and det(I + 0) = 1, so the value is exactly REG_LAMBDA
+        val, _ = regularizer_perlayer(np.zeros((4, 3)))
+        assert val == REG_LAMBDA
 
     def test_identity_value(self):
         # ||I_d|| = 1 and det(2 I_d) = 2^d
         for d in (2, 5):
-            val, _ = regularizer_perlayer(np.eye(d), lam1=0.3, lam2=0.7)
-            assert val == pytest.approx(0.3 + 0.7 / 2 ** d)
+            val, _ = regularizer_perlayer(np.eye(d))
+            assert val == pytest.approx(REG_LAMBDA * (1 + 2.0 ** -d))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -180,10 +183,8 @@ class TestPerLayerRegularizer:
             s = np.linalg.svd(w, compute_uv=False)
             if s[0] - s[1] < 1e-3:
                 continue  # top singular pair not differentiable here
-            _, g = regularizer_perlayer(w, 0.4, 0.9)
-            num = oracles.central_difference(
-                lambda m: regularizer_perlayer(m, 0.4, 0.9)[0], w.copy()
-            )
+            _, g = regularizer_perlayer(w)
+            num = oracles.central_difference(lambda m: regularizer_perlayer(m)[0], w.copy())
             assert np.allclose(g, num, rtol=1e-5, atol=1e-8)
 
 
@@ -193,17 +194,17 @@ class TestSyntheticRegularizer:
         for layer in net.layers:
             layer.weight = 2.0 * np.eye(2)
         # per layer: det(W^T W)^(-1/2) = 1/4, ||W|| = 2
-        val, _ = regularizer_synthetic(net, lam=0.5)
-        assert val == pytest.approx(0.5 * (1 / 16 + 10.0 * 4.0))
+        val, _ = regularizer_synthetic(net)
+        assert val == pytest.approx(REG_LAMBDA * (1 / 16 + 10.0 * 4.0))
 
     def test_gradient_matches_finite_differences(self):
         net = build_network([3, 3, 3], GaussianHead(), seed=9)
-        _, grads = regularizer_synthetic(net, lam=0.3)
+        _, grads = regularizer_synthetic(net)
         for j in range(len(net.layers)):
             def fn(w, j=j):
                 old = net.layers[j].weight
                 net.layers[j].weight = w
-                val, _ = regularizer_synthetic(net, lam=0.3)
+                val, _ = regularizer_synthetic(net)
                 net.layers[j].weight = old
                 return val
 
@@ -213,13 +214,13 @@ class TestSyntheticRegularizer:
     def test_wide_layer_rejected(self):
         net = build_network([4, 3, 3], GaussianHead(), seed=0)
         with pytest.raises(RankDeficientError):
-            regularizer_synthetic(net, lam=0.1)
+            regularizer_synthetic(net)
 
     def test_singular_layer_rejected(self):
         net = build_network([2, 2, 2], GaussianHead(), seed=0)
         net.layers[0].weight = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(RankDeficientError) as info:
-            regularizer_synthetic(net, lam=0.1)
+            regularizer_synthetic(net)
         assert info.value.sigma_min == pytest.approx(0.0, abs=1e-12)
 
 
@@ -264,8 +265,8 @@ class TestBitExactReferences:
 
     def test_regularizer_synthetic(self):
         net, _, _ = _perturbed_task("synthetic", 100)
-        value, grads = regularizer_synthetic(net, 0.01)
-        ref_value, ref_grads = oracles.regularizer_synthetic_reference(net, 0.01)
+        value, grads = regularizer_synthetic(net)
+        ref_value, ref_grads = oracles.regularizer_synthetic_reference(net, REG_LAMBDA)
         assert _bits(value) == _bits(ref_value)
         for g, r in zip(grads, ref_grads, strict=True):
             assert g.shape == r.shape and np.array_equal(_bits(g), _bits(r))
@@ -429,11 +430,11 @@ class TestRankCollapse:
         calls = []
         real = trainer_mod.regularizer_synthetic
 
-        def collapsing(net, lam):
+        def collapsing(net):
             calls.append(1)
             if len(calls) > 25:  # 10 steps per epoch: mid epoch 3
                 raise RankDeficientError("layer 1 is numerically singular", sigma_min=0.0)
-            return real(net, lam)
+            return real(net)
 
         monkeypatch.setattr(trainer_mod, "regularizer_synthetic", collapsing)
         cfg = TrainConfig(epochs=5, regularizer="synthetic", batch_size=100)
@@ -489,13 +490,24 @@ class TestTrainLoop:
         assert not run.diverged
 
     def test_divergence_flagged_with_partial_metrics(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run = _small_run(epochs=50, learning_rate=1e160, regularizer="none")
         assert run.diverged
         assert len(run.metrics) < 50
+
+    @pytest.mark.parametrize("task,lr", [
+        ("digits", 1e300), ("digits", 1e30), ("synthetic", 1e300), ("synthetic", 1e30),
+    ])
+    def test_divergence_warns_nothing(self, task, lr):
+        # each overflow or NaN ends the run as a divergence, never as a numpy warning
+        data, net, classify = build_task(task, 0)
+        config = dataclasses.replace(default_train_config(task, 0), learning_rate=lr, epochs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = train(config, data, net, classification=classify)
+        assert run.diverged
+        assert run.metrics == [] and run.spectrum.epochs == []
 
     def test_spectrum_logged_every_epoch(self):
         run = _small_run(epochs=4)
