@@ -112,12 +112,7 @@ class BoundConstants:
 
 
 # ---------------------------------------------------------------------------
-# per-layer ingredients; `layer` is a LayerSpectrum or a weight matrix
-
-
-def _spectrum(layer) -> LayerSpectrum:
-    """The spectrum of a LayerSpectrum or a bare weight matrix (one SVD)."""
-    return layer if isinstance(layer, LayerSpectrum) else LayerSpectrum.of(layer)
+# per-layer ingredients
 
 
 def _log_norm_power(spec: LayerSpectrum, s_prev: float) -> float:
@@ -135,12 +130,12 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def density_ratio_bound(layer, s_prev: float) -> float:
+def density_ratio_bound(w, s_prev: float) -> float:
     """Closed-form max{1, ||W||^(2s)} >= sup p(omega) / p(W^T omega); +inf beyond float64."""
-    return _exp_or_inf(2.0 * _log_norm_power(_spectrum(layer), s_prev))
+    return _exp_or_inf(2.0 * _log_norm_power(LayerSpectrum.of(w), s_prev))
 
 
-def koopman_layer_factor(layer, s_prev: float) -> float:
+def koopman_layer_factor(w, s_prev: float) -> float:
     """max{1, ||W||^s_prev} / det(W^T W)^(1/4); equals 1 for orthogonal W.
 
     The constants-free part of `_factor_table`'s injective entry, equal to
@@ -149,19 +144,18 @@ def koopman_layer_factor(layer, s_prev: float) -> float:
     rank-deficient one (LayerSpectrum.require_gram_logdet), and
     OverflowError when the factor exceeds float64.
     """
-    spec = _spectrum(layer)
+    spec = LayerSpectrum.of(w)
     return math.exp(_log_norm_power(spec, s_prev) - spec.require_gram_logdet() / 4.0)
 
 
-def g_factor_gaussian(w, c_gauss: float) -> float:
+def g_factor_gaussian(spec: LayerSpectrum, c_gauss: float) -> float:
     """Isotropy factor (2c/pi)^(k/4) of a Gaussian exp(-c||x||^2) head.
 
-    k is the codimension of the range of w, found via the relative rank
-    tolerance.
+    k is the codimension of the layer's range, found via the relative
+    rank tolerance.
     """
     if c_gauss <= 0:
         raise InvalidParameterError(f"c_gauss must be positive, got {c_gauss}")
-    spec = _spectrum(w)
     k = spec.rows - spec.rank
     return (2.0 * c_gauss / math.pi) ** (k / 4.0)
 

@@ -46,7 +46,7 @@ from . import bounds as bounds_mod
 from . import diagnostics, trainer, verify, weightio
 from .matcore import InvalidParameterError
 from .network import GaussianHead, SoftmaxHead, ValidationError
-from .svgplot import pearson, write_scatter
+from .svgplot import pearson, scatter_svg
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -205,14 +205,13 @@ def _run_one(task: str, config: trainer.TrainConfig, outdir: Path) -> trainer.Tr
     finite = _finite_epochs(run)
     if finite:
         last = run.metrics[-1].epoch
-        write_scatter(
-            outdir / "bound_vs_generror.svg",
+        (outdir / "bound_vs_generror.svg").write_text(scatter_svg(
             [m.matrix_factor for m in finite],
             [m.gen_error for m in finite],
             shades=[m.epoch / last for m in finite],
             xlabel="bound factor",
             ylabel="generalization error",
-        )
+        ))
     return run
 
 

@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 from .bounds import BoundReport, LayerRecord
 
 
-class DiagnosticsError(Exception):
-    pass
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -28,15 +24,7 @@ class EpochRecord:
 
 @dataclass
 class SpectrumLog:
-    epochs: list[EpochRecord] = field(default_factory=list)
-
-    def append(self, record: EpochRecord) -> None:
-        if self.epochs and record.epoch <= self.epochs[-1].epoch:
-            raise DiagnosticsError(
-                f"epochs must be strictly increasing, got {record.epoch} "
-                f"after {self.epochs[-1].epoch}"
-            )
-        self.epochs.append(record)
+    epochs: list[EpochRecord] = field(default_factory=list)  # in epoch order
 
     def to_csv(self) -> str:
         """One row per (epoch, layer); infinities become the string 'inf',

@@ -64,40 +64,33 @@ class FunctionClassSpec:
 
 REJECTION_CAP = 100_000
 
-# np.triu_indices(rows, 1) per row count, filled on first use
-_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 
 def _sigma1_and_volume(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigma_1 and the volume det(W^T W)^(1/2) of each matrix of a stack.
 
-    The volume is |det W| for square W.  Needs rows >= cols.
+    The volume is |det W| for square W.  A 2 x 2 stack takes the closed
+    form, any other shape one batched SVD.
     """
-    if ws.shape[2] != 2:
+    if ws.shape[1:] != (2, 2):
         s = np.linalg.svd(ws, compute_uv=False)
         return s[:, 0], np.prod(s, axis=1)
-    # Cauchy-Binet: vol^2 is the sum of the squared 2x2 minors, and
-    # sigma_1^2 is the larger root of t^2 - ||W||_F^2 t + vol^2
-    a, b = ws[:, :, 0], ws[:, :, 1]
-    rows = ws.shape[1]
-    if rows not in _PAIRS:
-        _PAIRS[rows] = np.triu_indices(rows, 1)
-    i, j = _PAIRS[rows]
-    vol_sq = _row_sum((a[:, i] * b[:, j] - a[:, j] * b[:, i]) ** 2)
-    fro_sq = _row_sum(a * a + b * b)
+    # columns a and b; sigma_1^2 is the larger root of t^2 - ||W||_F^2 t + det^2
+    a0, a1, b0, b1 = ws[:, 0, 0], ws[:, 1, 0], ws[:, 0, 1], ws[:, 1, 1]
+    det = a0 * b1 - a1 * b0
+    vol_sq = det * det
+    fro_sq = (a0 * a0 + b0 * b0) + (a1 * a1 + b1 * b1)
     gap = np.sqrt(np.maximum(fro_sq * fro_sq - 4.0 * vol_sq, 0.0))
     return np.sqrt(0.5 * (fro_sq + gap)), np.sqrt(vol_sq)
 
 
 def _sample_weights(
-    rng: np.random.Generator, rows: int, cols: int, C: float, D: float, count: int
+    rng: np.random.Generator, d: int, C: float, D: float, count: int
 ) -> np.ndarray:
-    """Rejection sampling: Gaussian, projected to the norm ball, volume filtered.
+    """Rejection sampling: Gaussian d x d, projected to the norm ball, volume filtered.
 
-    sigma_1 and the volume come from a closed form for two columns and
-    from one batched SVD (sigma_1 = s_0, volume = prod s) otherwise.  The
-    volume filter runs on the unscaled batch (the scaled volume is
-    vol * scale^cols), and only the first `need` survivors are scaled:
+    sigma_1 and |det W| come from `_sigma1_and_volume`.  The volume
+    filter runs on the unscaled batch (the scaled volume is
+    vol * scale^d), and only the first `need` survivors are scaled:
     each kept entry gets the same single multiply as when the whole
     batch was scaled first.
     """
@@ -111,10 +104,10 @@ def _sample_weights(
             raise InfeasibleClassError(
                 f"constraint (C={C}, D={D}) rejected {REJECTION_CAP} samples"
             )
-        ws = rng.standard_normal((batch, rows, cols))
+        ws = rng.standard_normal((batch, d, d))
         sigma1, vol = _sigma1_and_volume(ws)
         scale = np.minimum(1.0, C / sigma1)
-        keep = np.flatnonzero(vol * scale ** cols >= D)[:need]
+        keep = np.flatnonzero(vol * scale ** d >= D)[:need]
         if keep.size > 0:
             good = ws[keep]
             good *= scale[keep, None, None]
@@ -140,10 +133,10 @@ def sample_networks(
 ):
     """count parameter draws: list over layers of (weights, biases) stacks."""
     params = []
-    for j in range(len(spec.widths) - 1):
-        cols, rows = spec.widths[j], spec.widths[j + 1]
-        ws = _sample_weights(rng, rows, cols, spec.C, spec.D, count)
-        bs = _sample_bias(rng, rows, BIAS_RADIUS, count)
+    d = spec.widths[0]
+    for _ in range(len(spec.widths) - 1):
+        ws = _sample_weights(rng, d, spec.C, spec.D, count)
+        bs = _sample_bias(rng, d, BIAS_RADIUS, count)
         params.append((ws, bs))
     return params
 

@@ -7,7 +7,6 @@ precision, axis labels four significant digits, and no metadata is embedded.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 
 def _fmt(x: float) -> str:
@@ -71,10 +70,6 @@ def scatter_svg(xs, ys, shades, xlabel: str = "", ylabel: str = "") -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_scatter(path, xs, ys, **kwargs) -> None:
-    Path(path).write_text(scatter_svg(xs, ys, **kwargs))
 
 
 def _unit_scaled(values) -> list[float]:

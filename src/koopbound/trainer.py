@@ -562,7 +562,7 @@ def train(
                     test_accuracy=test_acc,
                 )
             )
-            spectrum.append(snap)
+            spectrum.epochs.append(snap)
 
     return TrainRun(
         config=config, metrics=metrics, net=net, spectrum=spectrum,

@@ -12,6 +12,10 @@ per-draw seed rule, so it draws the sign vectors that
 `empirical_rademacher_lower` draws for the same seed), and `rkhs_ball_rademacher` is the closed form for the radius-ball of
 the Sobolev RKHS next to its B / sqrt(n) bound.
 
+`sigma1_and_volume_pairs` is a closed form for any stack of two-column
+matrices, by Cauchy-Binet over the pair indices of `np.triu_indices`:
+the reference that the sampler's 2 x 2 form must match bit for bit.
+
 `smooth_leaky_relu_reference` is the activation and its derivative as
 plain allocating numpy expressions, which the in-place kernel must match
 bit for bit.
@@ -35,7 +39,7 @@ import numpy as np
 
 from koopbound.kernels import kernel_trace_bound, sobolev_kernel
 from koopbound.matcore import log1p_square, pq_norm, rank_tolerance, singular_values
-from koopbound.network import GaussianHead, Identity
+from koopbound.network import GaussianHead, Identity, _row_sum
 from koopbound.rademacher import BIAS_RADIUS, _draw_seed
 from koopbound.trainer import _accuracy, _mean_loss, forward
 
@@ -209,6 +213,20 @@ def sample_networks_lapack(spec, rng, count, cap: int = 100_000):
         r = BIAS_RADIUS * rng.random(count) ** (1.0 / rows)
         params.append((np.concatenate(accepted, axis=0), g * r[:, None]))
     return params
+
+
+def sigma1_and_volume_pairs(ws):
+    """sigma_1 and det(W^T W)^(1/2) of each (rows, 2) matrix of a stack.
+
+    vol^2 is the sum of the squared 2 x 2 minors (Cauchy-Binet), and
+    sigma_1^2 the larger root of t^2 - ||W||_F^2 t + vol^2.
+    """
+    a, b = ws[:, :, 0], ws[:, :, 1]
+    i, j = np.triu_indices(ws.shape[1], 1)
+    vol_sq = _row_sum((a[:, i] * b[:, j] - a[:, j] * b[:, i]) ** 2)
+    fro_sq = _row_sum(a * a + b * b)
+    gap = np.sqrt(np.maximum(fro_sq * fro_sq - 4.0 * vol_sq, 0.0))
+    return np.sqrt(0.5 * (fro_sq + gap)), np.sqrt(vol_sq)
 
 
 def rademacher_lower_fixed(values, draws: int, seed: int = 0) -> float:

@@ -136,16 +136,16 @@ class TestKoopmanLayerFactor:
 
 class TestGFactor:
     def test_full_rank_square_is_one(self):
-        assert g_factor_gaussian(np.eye(3), 1.0) == 1.0
+        assert g_factor_gaussian(LayerSpectrum.of(np.eye(3)), 1.0) == 1.0
 
     def test_codimension_three(self):
         w = np.zeros((6, 3))
         w[:3, :3] = np.eye(3)
-        assert g_factor_gaussian(w, 1.0) == pytest.approx((2.0 / math.pi) ** 0.75)
+        assert g_factor_gaussian(LayerSpectrum.of(w), 1.0) == pytest.approx((2.0 / math.pi) ** 0.75)
 
     def test_invalid_width(self):
         with pytest.raises(InvalidParameterError):
-            g_factor_gaussian(np.eye(2), -1.0)
+            g_factor_gaussian(LayerSpectrum.of(np.eye(2)), -1.0)
 
 
 class TestActivationBound:
@@ -232,9 +232,9 @@ class TestLayerSpectrum:
 
     def test_factors_raise_like_matcore(self):
         with pytest.raises(matcore.ShapeError):
-            koopman_layer_factor(LayerSpectrum.of(np.ones((2, 3))), 1.05)
+            koopman_layer_factor(np.ones((2, 3)), 1.05)
         with pytest.raises(RankDeficientError) as err:
-            koopman_layer_factor(LayerSpectrum.of(np.diag([1.0, 0.0])), 1.05)
+            koopman_layer_factor(np.diag([1.0, 0.0]), 1.05)
         assert err.value.sigma_min == 0.0
 
     def test_sigma_is_read_only(self):
@@ -341,7 +341,7 @@ class TestDefaultG:
         gs = []
         for net in self._nets():
             report = full_report(net, default_constants(net, 100))
-            want = g_factor_gaussian(net.layers[1].weight, net.head.c)
+            want = g_factor_gaussian(LayerSpectrum.of(net.layers[1].weight), net.head.c)
             assert report.metadata["g_factors"][-1] == want
             gs.append(want)
         assert gs[0] > gs[1]  # codimension 3 against 4, and 2c/pi < 1

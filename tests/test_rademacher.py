@@ -95,20 +95,44 @@ class TestSigma1AndVolume:
             assert sigma1[0] == 1.0 and vol[0] == 1.0
 
     def test_rank_one(self):
-        w = np.outer([1.0, -2.0, 3.0], [2.0, 0.5])
+        w = np.outer([1.0, -2.0], [2.0, 0.5])
         sigma1, vol = rademacher._sigma1_and_volume(w[None])
         assert vol[0] == 0.0
         assert sigma1[0] == pytest.approx(np.linalg.svd(w, compute_uv=False)[0], rel=1e-12)
 
     def test_two_columns_without_lapack(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("LAPACK called for a 2-column layer")
+            raise AssertionError("LAPACK called for a 2 x 2 layer")
 
         for name in ("svd", "det", "norm"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        for rows in (2, 3, 5):
-            ws = rademacher._sample_weights(np.random.default_rng(rows), rows, 2, 1.5, 0.5, 40)
-            assert ws.shape == (40, rows, 2)
+        for seed in (2, 3, 5):
+            ws = rademacher._sample_weights(np.random.default_rng(seed), 2, 1.5, 0.5, 40)
+            assert ws.shape == (40, 2, 2)
+
+    def test_two_by_two_equals_pair_index_form_bit_for_bit(self):
+        # 12 003 matrices: Gaussian, rank one, orthogonal, scaled by 1e+-150
+        # (where det * det overflows or underflows, so |det| in place of
+        # sqrt(det * det) would differ) and by log-uniform factors between
+        rng = np.random.default_rng(2024)
+        gauss = rng.standard_normal((4000, 2, 2))
+        rank_one = rng.standard_normal((1000, 2, 1)) * rng.standard_normal((1000, 1, 2))
+        t = rng.uniform(0.0, 2.0 * np.pi, 1000)
+        c, s = np.cos(t), np.sin(t)
+        rotations = np.stack([np.stack([c, -s], 1), np.stack([s, c], 1)], 1)
+        reflections = rotations * np.array([1.0, -1.0])
+        exact = np.array([np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        unit = np.concatenate([gauss[:1000], rank_one[:500], rotations[:500]])
+        ws = np.concatenate([
+            gauss, rank_one, rotations, reflections, exact, 1e150 * unit, 1e-150 * unit,
+            10.0 ** rng.uniform(-150.0, 150.0, (1000, 1, 1)) * gauss[:1000],
+        ])
+        assert ws.shape == (12003, 2, 2)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = rademacher._sigma1_and_volume(ws)
+            want = oracles.sigma1_and_volume_pairs(ws)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 class TestSameStream:
